@@ -212,6 +212,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         }
         for pt in result.points
     ]
+    checked = len(rows) >= 2
     if args.json:
         _emit_json(
             {
@@ -219,15 +220,19 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
                 "ab": format_rational(result.value),
                 "invariant": format_rational(invariant),
                 "specializations": rows,
-                "verified_constant": True,
+                "verified_constant": checked,
             }
         )
         return 0
     _emit(f"degree {args.d}: invariant = {format_rational(invariant)}")
     _emit(f"raw two-point pairing = {format_rational(result.value)}")
-    _emit(
-        f"constant across {len(rows)} specializations (seed {args.seed}): yes"
-    )
+    if checked:
+        _emit(f"constant across {len(rows)} specializations (seed {args.seed}): yes")
+    else:
+        _emit(
+            f"constancy not checked: {len(rows)} specialization (seed {args.seed}); "
+            "use --points 2 or more"
+        )
     return 0
 
 
@@ -562,15 +567,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog":
         return _cmd_catalog(args)
+    if args.command in ("graphs", "graphsum", "invariant") and args.d < 1:
+        parser.error("--d must be a positive integer")
     if args.command == "graphs":
         return _cmd_graphs(parser, args)
     if args.command == "graphsum":
         return _cmd_graphsum(parser, args)
     if args.command == "invariant":
-        if args.d < 1:
-            parser.error("--d must be a positive integer")
+        if args.points < 1:
+            parser.error("--points must be a positive integer")
         return _cmd_invariant(args)
     if args.command == "verify":
+        if args.specs < 1:
+            parser.error("--specs must be a positive integer")
         return _cmd_verify(args)
     if args.command == "table":
         if not 1 <= args.dmax:

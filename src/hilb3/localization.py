@@ -10,14 +10,14 @@ factors (Euler classes of fixed-point tangent spaces) and flag factors
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .geometry import (
     Curve,
+    FixedPoint,
     chart_weight,
     curve_catalog,
     curves_through,
@@ -25,7 +25,7 @@ from .geometry import (
     tangent_character,
     tangent_euler,
 )
-from .graphs import Family, StableGraph, automorphism_order, enumerate_graphs
+from .graphs import Family, StableGraph, automorphism_order
 from .scalars import (
     DegenerateSpecializationError,
     Rational,
@@ -199,33 +199,202 @@ def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
     return value
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HILB3_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+@dataclass(frozen=True)
+class _Flag:
+    """One end of a degree-``degree`` cover of a family curve.
+
+    Flags are numbered; ``far`` is the number of the flag at the other end
+    of the same edge.  ``weight`` is the flag weight omega, ``series`` the
+    coefficients ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)``, ``edge``
+    the edge's share ``1/(degree * edge_euler)`` of the graph weight and
+    ``cost`` its beta-weighted degree.
+    """
+
+    index: int
+    far: int
+    cost: int
+    weight: Rational
+    edge: Rational
+    series: tuple[Rational, ...]
 
 
-def _contribution_task(args: tuple[StableGraph, Specialization]) -> Rational:
-    graph, point = args
-    return graph_contribution(graph, point)
+def _flags(family: Family, d: int, point: Specialization) -> dict[FixedPoint, list[_Flag]]:
+    """The flags of every cover that fits in degree ``d``, grouped by label."""
+    flags: dict[FixedPoint, list[_Flag]] = {}
+    count = 0
+    for curve in family.curves:
+        for degree in range(1, d // curve.beta + 1):
+            edge = 1 / (degree * edge_euler(curve, degree, point))
+            for end, label in enumerate(curve.endpoints):
+                tangent = evaluate_weight(curve.tangents[end], point)
+                if tangent == 0:
+                    raise DegenerateSpecializationError(
+                        f"flag weight vanishes at w={point.w}, z={point.z}"
+                    )
+                inverse = degree / tangent
+                series = [inverse]
+                for s in range(1, d + 1):
+                    series.append(series[-1] * inverse / s)
+                flags.setdefault(label, []).append(_Flag(
+                    count + end,
+                    count + 1 - end,
+                    curve.beta * degree,
+                    tangent / degree,
+                    edge,
+                    tuple(series),
+                ))
+            count += 2
+    return flags
+
+
+@dataclass
+class _Rows:
+    """The rows, order by order in ``q``, of the series at one label.
+
+    ``g0`` and ``g1`` hold the child series without and with the second
+    mark, ``p0[r]`` the rows of ``G0^r / r!`` and ``p1[r]`` those of
+    ``G0^(r-1)/(r-1)! * G1``; each row is a polynomial in ``t``.  ``euler``
+    is the label's tangent Euler factor and ``top`` the highest order whose
+    rows are used.
+    """
+
+    euler: Rational
+    top: int
+    g0: list
+    g1: list
+    p0: list
+    p1: list
+
+    @classmethod
+    def empty(cls, euler: Rational, top: int, d: int) -> "_Rows":
+        return cls(euler, top, [[]] * (d + 1), [[]] * (d + 1),
+                   [[[]] * (d + 1) for _ in range(d + 1)],
+                   [[[]] * (d + 1) for _ in range(d + 1)])
+
+
+def _convolve(left: list, right: list, order: int, r: int, length: int) -> list:
+    """The order-``order`` row of ``left * right``, t-degrees below ``length``.
+
+    ``left`` is a power of the child series with ``r - 1`` factors, so its
+    rows below order ``r - 1`` vanish; ``right`` has no order-0 row.
+    """
+    out = [0] * length
+    for j in range(1, order - r + 2):
+        outer, inner = left[order - j], right[j]
+        for s, a in enumerate(outer[:length]):
+            if a:
+                for u in range(min(len(inner), length - s)):
+                    out[s + u] += a * inner[u]
+    return out
+
+
+def _extract(row: list, parent: _Flag, e: int) -> Rational:
+    """``e! [t^e]`` of ``row`` times the parent flag's ``(1/omega) e^(t/omega)``."""
+    total = sum(
+        (row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s]),
+        Fraction(0),
+    )
+    return math.factorial(e) * total
 
 
 @lru_cache(maxsize=None)
 def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     """Sum the contributions of every degree-``d`` stable graph in a family.
 
-    Set ``HILB3_THREADS`` to a value above 1 to spread the per-graph work over
-    worker processes; the result is identical either way.
+    The graphs are not enumerated.  Rooted at the first mark, a graph is a
+    tree of subtrees, and the sum over them weighted by ``1/|Aut|`` is a
+    recursion over power series in ``q`` (beta-weighted degree, truncated at
+    ``d``) and ``t`` (psi degree), with a nilpotent ``epsilon`` marking the
+    subtrees that hold the second mark:
+
+    * a vertex with ``r`` children takes ``G^r / r!`` of its child series
+      ``G``, a sum over cover types, which is the exponential formula for
+      ``1/|Aut|``; with ``epsilon^2 = 0`` the marked part is
+      ``G0^(r-1)/(r-1)! * G1``;
+    * a vertex with ``n >= 3`` special points integrates to
+      ``(n-3)! [t^(n-3)] prod_F (1/omega_F) e^(t/omega_F)``, one factor per
+      flag;
+    * a bare leaf gives ``omega``, a marked leaf ``1`` and a two-valent node
+      ``1/(omega_p + omega_c)``.
+
+    A row at order ``N`` keeps only the t-degrees that can still reach an
+    extraction at order ``<= d``.  The only forms inverted are flag weights,
+    node smoothings and edge Euler factors, all in :func:`forbidden_weights`;
+    each of them, and every tangent weight, raises
+    :class:`DegenerateSpecializationError` when it vanishes.
+    :func:`graph_contribution` over :func:`~hilb3.graphs.enumerate_graphs`
+    gives the same value one graph at a time.
     """
-    graphs = enumerate_graphs(family, d)
-    workers = _worker_count()
-    if workers > 1 and len(graphs) >= 4 * workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_contribution_task, [(g, point) for g in graphs], chunksize=8)
-            return sum(parts, Fraction(0))
-    return sum((graph_contribution(g, point) for g in graphs), Fraction(0))
+    if d < 1:
+        raise ValueError(f"degree must be positive, got {d}")
+    flags = _flags(family, d, point)
+    first, second = family.mark_labels
+    # Subtree sums by order, without and with the second mark, indexed by
+    # the number of the flag at their root on the edge to their parent.
+    count = sum(len(here) for here in flags.values())
+    bare = [[0] * (d + 1) for _ in range(count)]
+    marked = [[0] * (d + 1) for _ in range(count)]
+    two_valent: dict[tuple[int, int], Rational] = {}
+    rows = {
+        label: _Rows.empty(
+            tangent_euler(label, point),
+            d if label == first else d - min(f.cost for f in here),
+            d,
+        )
+        for label, here in flags.items()
+    }
+    for order in range(d + 1):
+        for label, here in flags.items():
+            at = rows[label]
+            if order > at.top:
+                continue
+            kids = [
+                (f, f.edge * bare[f.far][order - f.cost], f.edge * marked[f.far][order - f.cost])
+                for f in here
+                if f.cost <= order
+            ]
+            at.g0[order] = [sum((a * f.series[s] for f, a, _ in kids if a), Fraction(0))
+                            for s in range(d - order + 1)]
+            at.g1[order] = [sum((b * f.series[s] for f, _, b in kids if b), Fraction(0))
+                            for s in range(d - order)]
+            at.p0[1][order] = at.g0[order]
+            for r in range(2, order + 1):
+                row = _convolve(at.p0[r - 1], at.g0, order, r, r + d - order)
+                at.p0[r][order] = [x / r for x in row]
+                at.p1[r][order] = _convolve(at.p0[r - 1], at.g1, order, r, r - 1)
+            for parent in here:
+                if order + parent.cost > d:
+                    continue
+                plain = parent.weight if order == 0 else Fraction(0)
+                held = Fraction(1) if order == 0 and label == second else Fraction(0)
+                for f, a, b in kids:
+                    pair = (parent.index, f.index)
+                    if pair not in two_valent:
+                        node = parent.weight + f.weight
+                        if node == 0:
+                            raise DegenerateSpecializationError(
+                                f"node smoothing weight vanishes at w={point.w}, z={point.z}"
+                            )
+                        two_valent[pair] = at.euler / node
+                    plain += a * two_valent[pair]
+                    held += b * two_valent[pair]
+                power = at.euler
+                for r in range(2, order + 1):
+                    power *= at.euler
+                    plain += power * _extract(at.p0[r][order], parent, r - 2)
+                    held += power * _extract(at.p1[r][order], parent, r - 2)
+                if label == second:
+                    power = Fraction(1)
+                    for r in range(1, order + 1):
+                        power *= at.euler
+                        held += power * _extract(at.p0[r][order], parent, r - 1)
+                bare[parent.index][order] = plain
+                marked[parent.index][order] = held
+    root = rows[first]
+    total = sum((f.edge * marked[f.far][d - f.cost] for f in flags[first]), Fraction(0))
+    for r in range(2, d + 1):
+        total += root.euler ** (r - 1) * math.factorial(r - 2) * root.p1[r][d][r - 2]
+    return total
 
 
 def _canonical_sign(weight: Weight) -> Weight:

@@ -6,12 +6,15 @@ throughout.  Timing-sensitive criteria clear the engine caches first so the
 measurement reflects a cold computation.
 """
 
+import importlib
+import pkgutil
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+import hilb3
 from hilb3.fock import (
     dual_basis,
     fundamental_class,
@@ -45,11 +48,9 @@ from hilb3.invariants import (
     verify_identities,
 )
 from hilb3.localization import (
-    edge_character,
     edge_euler,
     edge_euler_closed,
     forbidden_weights,
-    graph_sum,
     psi_vertex_integral,
 )
 from hilb3.scalars import Specialization, sample_specializations
@@ -65,11 +66,38 @@ EXPECTED_INVARIANTS = {
 }
 
 
+def _engine_caches():
+    """Every ``lru_cache`` in the ``hilb3`` modules, found by scanning them.
+
+    Module-level functions and class attributes are both scanned, so a cache
+    added later is cleared without listing it here.
+    """
+    found = {}
+    for info in pkgutil.iter_modules(hilb3.__path__):
+        module = importlib.import_module(f"hilb3.{info.name}")
+        owner = module.__name__
+        for name, value in vars(module).items():
+            holders = [(name, value)]
+            if isinstance(value, type) and value.__module__ == owner:
+                holders += [(f"{name}.{k}", v) for k, v in vars(value).items()]
+            for label, obj in holders:
+                if (
+                    callable(getattr(obj, "cache_info", None))
+                    and callable(getattr(obj, "cache_clear", None))
+                    and getattr(obj, "__module__", None) == owner
+                ):
+                    found[f"{owner}.{label}"] = obj
+    return found
+
+
 def _clear_engine_caches():
-    edge_character.cache_clear()
-    edge_euler.cache_clear()
-    graph_sum.cache_clear()
-    forbidden_weights.cache_clear()
+    caches = _engine_caches()
+    for name in ("edge_euler", "graph_sum", "enumerate_graphs", "tangent_character"):
+        assert any(found.endswith("." + name) for found in caches), name
+    for cache in caches.values():
+        cache.cache_clear()
+    full = [name for name, cache in caches.items() if cache.cache_info().currsize]
+    assert not full, f"caches still hold entries after clearing: {full}"
 
 
 def test_criterion_1_invariants_and_pairings_within_budget():

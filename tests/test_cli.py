@@ -150,3 +150,70 @@ def test_pair_family_rejects_extra_stratum():
     with pytest.raises(SystemExit) as info:
         main(["graphs", "--family", "pair", "--i", "0", "--j", "1", "--k", "2", "--d", "1"])
     assert info.value.code == 2
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    return info.value.code, captured.err
+
+
+def test_graphs_degree_zero_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "graphs", "--family", "pair", "--i", "0", "--j", "1", "--d", "0")
+    assert code == 2
+    assert "--d must be a positive integer" in err
+
+
+def test_graphsum_degree_zero_is_usage_error(capsys):
+    code, err = _usage_error(
+        capsys, "graphsum", "--family", "pair", "--i", "0", "--j", "1", "--d", "0"
+    )
+    assert code == 2
+    assert "--d must be a positive integer" in err
+
+
+def test_invariant_zero_points_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "invariant", "--d", "1", "--points", "0")
+    assert code == 2
+    assert "--points must be a positive integer" in err
+
+
+def test_verify_zero_specs_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "verify", "--dmax", "1", "--specs", "0")
+    assert code == 2
+    assert "--specs must be a positive integer" in err
+
+
+def test_verify_negative_specs_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "verify", "--dmax", "1", "--specs", "-3")
+    assert code == 2
+    assert "--specs must be a positive integer" in err
+
+
+def test_invariant_single_point_does_not_claim_constancy(capsys):
+    code, out = run_cli(capsys, "invariant", "--d", "1", "--points", "1")
+    assert code == 0
+    assert "invariant = -27" in out
+    assert "constant across" not in out
+    assert "constancy not checked" in out
+
+
+def test_invariant_single_point_json_is_not_verified(capsys):
+    code, out = run_cli(capsys, "invariant", "--d", "1", "--points", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified_constant"] is False
+    assert len(payload["specializations"]) == 1
+
+
+def test_invariant_two_points_output_is_pinned(capsys):
+    code, out = run_cli(capsys, "invariant", "--d", "2", "--points", "2")
+    assert code == 0
+    assert out == (
+        "degree 2: invariant = 27/2\n"
+        "raw two-point pairing = 81/2\n"
+        "constant across 2 specializations (seed 0): yes\n"
+    )

@@ -130,3 +130,12 @@ def test_family_term_closed_is_what_the_engine_sums():
     point = sample_specializations(1, seed=4, forbidden=forbidden_weights(2))[0]
     for i in range(3):
         assert punctual_family_term(2, i, point) == family_term_closed(2, i, point)
+
+
+@pytest.mark.parametrize("d, expected", [(7, Fraction(-27)), (8, Fraction(27))])
+def test_observed_pattern_f_of_d_plus_3_is_minus_f_of_d(d, expected):
+    # An observed pattern of the engine's values, not a result of the paper:
+    # f(d) = d * invariant reads -27, 27, 54, 27, -27, -54, ... and so far
+    # f(d + 3) = -f(d).  These pins hold it at f(7) = -f(4) and
+    # f(8) = -f(5), each checked constant across two specializations.
+    assert scaled_invariant(d, num_points=2) == expected

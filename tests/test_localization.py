@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilb3.geometry import pair_curve, punctual_curve, curve_catalog
-from hilb3.graphs import pair_family, punctual_family, enumerate_graphs
+from hilb3.graphs import (
+    all_pair_families,
+    all_punctual_families,
+    enumerate_graphs,
+    pair_family,
+    punctual_family,
+)
 from hilb3.localization import (
     edge_character,
     edge_euler,
@@ -33,6 +39,17 @@ from hilb3.scalars import (
 )
 
 POINT_13 = Specialization(Fraction(1), Fraction(3))
+
+FAMILIES = all_pair_families() + tuple(
+    family for chart in range(3) for family in all_punctual_families(chart)
+)
+
+
+def _enumerated_sum(family, d, point):
+    """The graph sum one enumerated graph at a time: the oracle for the recursion."""
+    return sum(
+        (graph_contribution(g, point) for g in enumerate_graphs(family, d)), Fraction(0)
+    )
 
 
 def _compositions(total, parts):
@@ -176,3 +193,45 @@ def test_closed_euler_agrees_on_random_specializations(i, j, degree, seed):
     assert edge_euler(pair_curve(i, j), degree, point) == edge_euler_closed(
         i, j, degree, point
     )
+
+
+def test_recursion_matches_enumeration_oracle():
+    # graph_sum is cached; clear it so the recursion itself is compared.
+    graph_sum.cache_clear()
+    points = sample_specializations(2, seed=29, forbidden=forbidden_weights(5))
+    assert len(FAMILIES) == 15
+    for family in FAMILIES:
+        for d in range(1, 6):
+            for point in points:
+                assert graph_sum(family, d, point) == _enumerated_sum(family, d, point), (
+                    f"{family.name} degree {d} at w={point.w}, z={point.z}"
+                )
+
+
+def test_graph_sum_rejects_nonpositive_degree():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            graph_sum(pair_family(0, 1), d, POINT_13)
+
+
+def test_degenerate_walls_raise_and_never_divide_by_zero():
+    # On each wall a*w + b*z = 0 the recursion may stop, but only with
+    # DegenerateSpecializationError, and at least wherever enumeration
+    # stops; where it does not stop it agrees with enumeration.
+    graph_sum.cache_clear()
+    stopped = 0
+    for form in forbidden_weights(2):
+        wall = Specialization(form.b, -form.a)
+        for family in FAMILIES:
+            try:
+                oracle = _enumerated_sum(family, 2, wall)
+            except DegenerateSpecializationError:
+                oracle = None
+            try:
+                value = graph_sum(family, 2, wall)
+            except DegenerateSpecializationError:
+                stopped += 1
+                continue
+            assert oracle is not None, f"{family.name} missed the wall {form}"
+            assert value == oracle, f"{family.name} on the wall {form}"
+    assert stopped > 0
