@@ -212,7 +212,6 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         }
         for pt in result.points
     ]
-    checked = len(rows) >= 2
     if args.json:
         _emit_json(
             {
@@ -220,13 +219,13 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
                 "ab": format_rational(result.value),
                 "invariant": format_rational(invariant),
                 "specializations": rows,
-                "verified_constant": checked,
+                "verified_constant": result.verified_constant,
             }
         )
         return 0
     _emit(f"degree {args.d}: invariant = {format_rational(invariant)}")
     _emit(f"raw two-point pairing = {format_rational(result.value)}")
-    if checked:
+    if result.verified_constant:
         _emit(f"constant across {len(rows)} specializations (seed {args.seed}): yes")
     else:
         _emit(

@@ -151,6 +151,7 @@ def tangent_euler(point: FixedPoint, spec: Specialization) -> Fraction:
     return tangent_character(point).euler(spec)
 
 
+@lru_cache(maxsize=None)
 def taut_c1(point: FixedPoint, twist: int) -> Weight:
     """First Chern class of a tautological bundle restricted to a fixed point.
 

@@ -82,15 +82,28 @@ def two_point_total(d: int, spec: Specialization) -> Rational:
 
 @dataclass(frozen=True)
 class InvariantResult:
-    """A specialization-independent value with the points that witnessed it."""
+    """A two-point value with the specializations it was evaluated at.
+
+    The value agreed at every point in ``points``; only with two or more of
+    them was that a check (``verified_constant``).
+    """
 
     d: int
     value: Rational
     points: tuple[Specialization, ...]
 
+    @property
+    def verified_constant(self) -> bool:
+        """Whether the value was compared, and agreed, at two or more points."""
+        return len(self.points) >= 2
+
 
 def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantResult:
-    """Two-point count in degree ``d``, checked constant across specializations."""
+    """Two-point count in degree ``d``, evaluated at ``num_points`` specializations.
+
+    Raises :class:`ConsistencyError` if the totals differ.  With one point
+    nothing is compared, and the result's ``verified_constant`` is false.
+    """
     if d < 1:
         raise ValueError("degree must be positive")
     if num_points < 1:
@@ -246,6 +259,14 @@ def verify_identities(d_max: int = 4, num_specs: int = 5, seed: int = 0) -> list
     if not 1 <= d_max <= 4:
         raise ValueError("closed forms cover degrees 1 through 4 only")
     points = sample_specializations(num_specs, seed=seed, forbidden=forbidden_weights(d_max))
+    # Degree d_max first: its recursion pass on each curve system and point
+    # then serves every family on those curves and every lower degree.
+    for pt in points:
+        for i in range(3):
+            graph_sum(punctual_family(i, 0, 1), d_max, pt)
+            for j in range(3):
+                if i != j:
+                    graph_sum(pair_family(i, j), d_max, pt)
     checks: list[IdentityCheck] = []
 
     checks.append(_check(

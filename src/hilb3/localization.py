@@ -10,7 +10,7 @@ factors (Euler classes of fixed-point tangent spaces) and flag factors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -34,6 +34,13 @@ from .scalars import (
     Weight,
     evaluate_weight,
 )
+
+# Bounds of the caches keyed by a Specialization.  ``hilb3 verify --dmax 4
+# --specs 20`` fills 1200 graph sums, 180 passes and 1020 edge factors; each
+# bound leaves room for several such runs in one process.
+_GRAPH_SUM_CACHE_SIZE = 8192
+_PASS_CACHE_SIZE = 2048
+_EDGE_EULER_CACHE_SIZE = 8192
 
 # Covering characters of the invariant curves.  Each entry lists the degree-1
 # character (the part invariant under the covering group) and the repeating
@@ -114,7 +121,7 @@ def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
     return VirtualCharacter(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_EDGE_EULER_CACHE_SIZE)
 def edge_euler(curve: Curve, degree: int, point: Specialization) -> Rational:
     """Euler factor of an edge: product of the moving covering weights."""
     return edge_character(curve, degree).moving_part().euler(point)
@@ -218,11 +225,11 @@ class _Flag:
     series: tuple[Rational, ...]
 
 
-def _flags(family: Family, d: int, point: Specialization) -> dict[FixedPoint, list[_Flag]]:
+def _flags(curves: tuple[Curve, ...], d: int, point: Specialization) -> dict[FixedPoint, list[_Flag]]:
     """The flags of every cover that fits in degree ``d``, grouped by label."""
     flags: dict[FixedPoint, list[_Flag]] = {}
     count = 0
-    for curve in family.curves:
+    for curve in curves:
         for degree in range(1, d // curve.beta + 1):
             edge = 1 / (degree * edge_euler(curve, degree, point))
             for end, label in enumerate(curve.endpoints):
@@ -251,25 +258,28 @@ def _flags(family: Family, d: int, point: Specialization) -> dict[FixedPoint, li
 class _Rows:
     """The rows, order by order in ``q``, of the series at one label.
 
-    ``g0`` and ``g1`` hold the child series without and with the second
-    mark, ``p0[r]`` the rows of ``G0^r / r!`` and ``p1[r]`` those of
-    ``G0^(r-1)/(r-1)! * G1``; each row is a polynomial in ``t``.  ``euler``
-    is the label's tangent Euler factor and ``top`` the highest order whose
-    rows are used.
+    ``g0`` holds the child series without the second mark and ``p0[r]`` the
+    rows of ``G0^r / r!``; ``g1[s]`` holds the child series with the second
+    mark on label ``s`` and ``p1[s][r]`` the rows of
+    ``G0^(r-1)/(r-1)! * G1``.  Each row is a polynomial in ``t``.
+    ``powers[k]`` is the k-th power of the label's tangent Euler factor and
+    ``top`` the highest order whose rows are used.
     """
 
-    euler: Rational
+    powers: list
     top: int
     g0: list
-    g1: list
     p0: list
-    p1: list
+    g1: dict
+    p1: dict
 
     @classmethod
-    def empty(cls, euler: Rational, top: int, d: int) -> "_Rows":
-        return cls(euler, top, [[]] * (d + 1), [[]] * (d + 1),
-                   [[[]] * (d + 1) for _ in range(d + 1)],
-                   [[[]] * (d + 1) for _ in range(d + 1)])
+    def empty(cls, euler: Rational, top: int, d: int, seconds: list) -> "_Rows":
+        def table() -> list:
+            return [[[]] * (d + 1) for _ in range(d + 1)]
+
+        return cls([euler**k for k in range(d + 1)], top, [[]] * (d + 1), table(),
+                   {s: [[]] * (d + 1) for s in seconds}, {s: table() for s in seconds})
 
 
 def _convolve(left: list, right: list, order: int, r: int, length: int) -> list:
@@ -288,6 +298,12 @@ def _convolve(left: list, right: list, order: int, r: int, length: int) -> list:
     return out
 
 
+def _child_row(kids: list[_Flag], values: list, length: int) -> list:
+    """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
+    return [sum((a * f.series[s] for f, a in zip(kids, values) if a), Fraction(0))
+            for s in range(length)]
+
+
 def _extract(row: list, parent: _Flag, e: int) -> Rational:
     """``e! [t^e]`` of ``row`` times the parent flag's ``(1/omega) e^(t/omega)``."""
     total = sum(
@@ -297,7 +313,114 @@ def _extract(row: list, parent: _Flag, e: int) -> Rational:
     return math.factorial(e) * total
 
 
-@lru_cache(maxsize=None)
+def _recursion_pass(
+    curves: tuple[Curve, ...], top: int, point: Specialization
+) -> dict[tuple[FixedPoint, FixedPoint], tuple[Rational, ...]]:
+    """The graph sums of a curve system for every mark placement and degree.
+
+    A placement is a pair ``first < second`` of the system's labels; the
+    value at a placement is the tuple of its graph sums in degrees
+    ``1..top``.  The series without the second mark are computed once, and
+    those with it once per label that is a second mark; see
+    :func:`graph_sum` for the recursion.
+    """
+    flags = _flags(curves, top, point)
+    labels = sorted(flags)
+    placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
+    seconds = sorted({b for _, b in placements})
+    firsts = {a for a, _ in placements}
+    # Subtree sums by order, without and with the second mark, indexed by
+    # the number of the flag at their root on the edge to their parent.
+    count = sum(len(here) for here in flags.values())
+    bare = [[0] * (top + 1) for _ in range(count)]
+    marked = {s: [[0] * (top + 1) for _ in range(count)] for s in seconds}
+    two_valent: dict[tuple[int, int], Rational] = {}
+    # A root reads its rows up to order ``top``; any other vertex hangs from
+    # a parent flag, which costs at least the cheapest flag at its label.
+    rows = {
+        label: _Rows.empty(
+            tangent_euler(label, point),
+            top if label in firsts else top - min(f.cost for f in here),
+            top,
+            seconds,
+        )
+        for label, here in flags.items()
+    }
+    for order in range(top + 1):
+        for label, here in flags.items():
+            at = rows[label]
+            if order > at.top:
+                continue
+            kids = [f for f in here if f.cost <= order]
+            plain_kids = [f.edge * bare[f.far][order - f.cost] for f in kids]
+            held_kids = {
+                s: [f.edge * marked[s][f.far][order - f.cost] for f in kids] for s in seconds
+            }
+            at.g0[order] = _child_row(kids, plain_kids, top - order + 1)
+            at.p0[1][order] = at.g0[order]
+            for r in range(2, order + 1):
+                row = _convolve(at.p0[r - 1], at.g0, order, r, r + top - order)
+                at.p0[r][order] = [x / r for x in row]
+            for s in seconds:
+                at.g1[s][order] = _child_row(kids, held_kids[s], top - order)
+                for r in range(2, order + 1):
+                    at.p1[s][r][order] = _convolve(at.p0[r - 1], at.g1[s], order, r, r - 1)
+            for parent in here:
+                if order + parent.cost > top:
+                    continue
+                nodes = []
+                for f in kids:
+                    pair = (parent.index, f.index)
+                    if pair not in two_valent:
+                        node = parent.weight + f.weight
+                        if node == 0:
+                            raise DegenerateSpecializationError(
+                                f"node smoothing weight vanishes at w={point.w}, z={point.z}"
+                            )
+                        two_valent[pair] = at.powers[1] / node
+                    nodes.append(two_valent[pair])
+                plain = parent.weight if order == 0 else Fraction(0)
+                plain += sum((a * n for a, n in zip(plain_kids, nodes) if a), Fraction(0))
+                for r in range(2, order + 1):
+                    plain += at.powers[r] * _extract(at.p0[r][order], parent, r - 2)
+                bare[parent.index][order] = plain
+                for s in seconds:
+                    held = Fraction(1) if order == 0 and label == s else Fraction(0)
+                    held += sum((b * n for b, n in zip(held_kids[s], nodes) if b), Fraction(0))
+                    for r in range(2, order + 1):
+                        held += at.powers[r] * _extract(at.p1[s][r][order], parent, r - 2)
+                    if label == s:
+                        for r in range(1, order + 1):
+                            held += at.powers[r] * _extract(at.p0[r][order], parent, r - 1)
+                    marked[s][parent.index][order] = held
+    totals = {}
+    for first, second in placements:
+        root = rows[first]
+        totals[first, second] = tuple(
+            sum((f.edge * marked[second][f.far][d - f.cost] for f in flags[first] if f.cost <= d),
+                Fraction(0))
+            + sum((root.powers[r - 1] * math.factorial(r - 2) * root.p1[second][r][d][r - 2]
+                   for r in range(2, d + 1)), Fraction(0))
+            for d in range(1, top + 1)
+        )
+    return totals
+
+
+@dataclass
+class _Pass:
+    """The highest recursion pass of one curve system at one point that succeeded."""
+
+    top: int = 0
+    totals: dict = field(default_factory=dict)
+
+
+@lru_cache(maxsize=_PASS_CACHE_SIZE)
+def _stored_pass(curves: tuple[Curve, ...], point: Specialization) -> _Pass:
+    """The one mutable record per (curve system, point) that :func:`graph_sum` fills."""
+    return _Pass()
+
+
+@lru_cache(maxsize=_GRAPH_SUM_CACHE_SIZE)
 def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     """Sum the contributions of every degree-``d`` stable graph in a family.
 
@@ -318,83 +441,30 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
       ``1/(omega_p + omega_c)``.
 
     A row at order ``N`` keeps only the t-degrees that can still reach an
-    extraction at order ``<= d``.  The only forms inverted are flag weights,
+    extraction at an order up to the pass's degree.  The only forms inverted are flag weights,
     node smoothings and edge Euler factors, all in :func:`forbidden_weights`;
     each of them, and every tangent weight, raises
     :class:`DegenerateSpecializationError` when it vanishes.
     :func:`graph_contribution` over :func:`~hilb3.graphs.enumerate_graphs`
     gives the same value one graph at a time.
+
+    One pass of the recursion serves every family on the same curves at the
+    same point, and every degree up to the pass's own.  The series without
+    the second mark do not depend on the marks; those with it depend only on
+    the second mark's label, so a punctual triangle needs two of them for
+    its three placements.  The forms a pass inverts depend only on the
+    curves and its degree, and a pass of degree ``D`` inverts all those of a
+    pass of degree ``d <= D``.  So the highest pass that succeeded at a
+    point is kept and read for every degree up to it; a higher degree runs
+    a new pass, and a pass that raises is not kept.
     """
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
-    flags = _flags(family, d, point)
-    first, second = family.mark_labels
-    # Subtree sums by order, without and with the second mark, indexed by
-    # the number of the flag at their root on the edge to their parent.
-    count = sum(len(here) for here in flags.values())
-    bare = [[0] * (d + 1) for _ in range(count)]
-    marked = [[0] * (d + 1) for _ in range(count)]
-    two_valent: dict[tuple[int, int], Rational] = {}
-    rows = {
-        label: _Rows.empty(
-            tangent_euler(label, point),
-            d if label == first else d - min(f.cost for f in here),
-            d,
-        )
-        for label, here in flags.items()
-    }
-    for order in range(d + 1):
-        for label, here in flags.items():
-            at = rows[label]
-            if order > at.top:
-                continue
-            kids = [
-                (f, f.edge * bare[f.far][order - f.cost], f.edge * marked[f.far][order - f.cost])
-                for f in here
-                if f.cost <= order
-            ]
-            at.g0[order] = [sum((a * f.series[s] for f, a, _ in kids if a), Fraction(0))
-                            for s in range(d - order + 1)]
-            at.g1[order] = [sum((b * f.series[s] for f, _, b in kids if b), Fraction(0))
-                            for s in range(d - order)]
-            at.p0[1][order] = at.g0[order]
-            for r in range(2, order + 1):
-                row = _convolve(at.p0[r - 1], at.g0, order, r, r + d - order)
-                at.p0[r][order] = [x / r for x in row]
-                at.p1[r][order] = _convolve(at.p0[r - 1], at.g1, order, r, r - 1)
-            for parent in here:
-                if order + parent.cost > d:
-                    continue
-                plain = parent.weight if order == 0 else Fraction(0)
-                held = Fraction(1) if order == 0 and label == second else Fraction(0)
-                for f, a, b in kids:
-                    pair = (parent.index, f.index)
-                    if pair not in two_valent:
-                        node = parent.weight + f.weight
-                        if node == 0:
-                            raise DegenerateSpecializationError(
-                                f"node smoothing weight vanishes at w={point.w}, z={point.z}"
-                            )
-                        two_valent[pair] = at.euler / node
-                    plain += a * two_valent[pair]
-                    held += b * two_valent[pair]
-                power = at.euler
-                for r in range(2, order + 1):
-                    power *= at.euler
-                    plain += power * _extract(at.p0[r][order], parent, r - 2)
-                    held += power * _extract(at.p1[r][order], parent, r - 2)
-                if label == second:
-                    power = Fraction(1)
-                    for r in range(1, order + 1):
-                        power *= at.euler
-                        held += power * _extract(at.p0[r][order], parent, r - 1)
-                bare[parent.index][order] = plain
-                marked[parent.index][order] = held
-    root = rows[first]
-    total = sum((f.edge * marked[f.far][d - f.cost] for f in flags[first]), Fraction(0))
-    for r in range(2, d + 1):
-        total += root.euler ** (r - 1) * math.factorial(r - 2) * root.p1[r][d][r - 2]
-    return total
+    stored = _stored_pass(family.curves, point)
+    if stored.top < d:
+        stored.totals, stored.top = _recursion_pass(family.curves, d, point), d
+    # Swapping the marks maps the graphs one to one and keeps each weight.
+    return stored.totals[tuple(sorted(family.mark_labels))][d - 1]
 
 
 def _canonical_sign(weight: Weight) -> Weight:

@@ -92,7 +92,14 @@ def _engine_caches():
 
 def _clear_engine_caches():
     caches = _engine_caches()
-    for name in ("edge_euler", "graph_sum", "enumerate_graphs", "tangent_character"):
+    for name in (
+        "edge_euler",
+        "graph_sum",
+        "_stored_pass",
+        "enumerate_graphs",
+        "tangent_character",
+        "taut_c1",
+    ):
         assert any(found.endswith("." + name) for found in caches), name
     for cache in caches.values():
         cache.cache_clear()

@@ -94,6 +94,22 @@ def test_constancy_across_seeds():
         assert values == {3 * EXPECTED_INVARIANTS[d]}
 
 
+def test_one_point_is_not_a_constancy_check():
+    single = two_point_pairing(2, num_points=1)
+    assert single.value == Fraction(81, 2)
+    assert len(single.points) == 1
+    assert not single.verified_constant
+    assert not degree_invariant(2, num_points=1).verified_constant
+
+
+def test_two_points_are_a_constancy_check():
+    double = two_point_pairing(2, num_points=2)
+    assert double.value == Fraction(81, 2)
+    assert len(double.points) == 2
+    assert double.verified_constant
+    assert degree_invariant(2, num_points=2).verified_constant
+
+
 def test_two_point_pairing_validates_arguments():
     with pytest.raises(ValueError):
         two_point_pairing(0)

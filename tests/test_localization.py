@@ -22,7 +22,10 @@ from hilb3.graphs import (
     pair_family,
     punctual_family,
 )
+from hilb3 import localization
+from hilb3.invariants import verify_identities
 from hilb3.localization import (
+    _stored_pass,
     edge_character,
     edge_euler,
     edge_euler_closed,
@@ -35,6 +38,7 @@ from hilb3.localization import (
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
+    evaluate_weight,
     sample_specializations,
 )
 
@@ -195,17 +199,80 @@ def test_closed_euler_agrees_on_random_specializations(i, j, degree, seed):
     )
 
 
-def test_recursion_matches_enumeration_oracle():
-    # graph_sum is cached; clear it so the recursion itself is compared.
+def _clear_sums():
+    """Empty the graph sums and the stored passes, so the recursion itself runs."""
     graph_sum.cache_clear()
+    _stored_pass.cache_clear()
+
+
+def _clear_point_caches():
+    """Empty every cache keyed by a specialization."""
+    _clear_sums()
+    edge_euler.cache_clear()
+
+
+def test_recursion_matches_enumeration_oracle():
     points = sample_specializations(2, seed=29, forbidden=forbidden_weights(5))
     assert len(FAMILIES) == 15
-    for family in FAMILIES:
-        for d in range(1, 6):
+    oracle = {
+        (family, d, point): _enumerated_sum(family, d, point)
+        for family in FAMILIES
+        for d in range(1, 6)
+        for point in points
+    }
+    # Ascending, every degree runs its own pass; top first, one degree-5 pass
+    # per curve system and point serves degrees 1 to 4.
+    for degrees in ((1, 2, 3, 4, 5), (5, 1, 2, 3, 4)):
+        _clear_sums()
+        for d in degrees:
+            for family in FAMILIES:
+                for point in points:
+                    assert graph_sum(family, d, point) == oracle[family, d, point], (
+                        f"{family.name} degree {d} at w={point.w}, z={point.z}, "
+                        f"degrees in the order {degrees}"
+                    )
+        for family in FAMILIES:
             for point in points:
-                assert graph_sum(family, d, point) == _enumerated_sum(family, d, point), (
-                    f"{family.name} degree {d} at w={point.w}, z={point.z}"
-                )
+                assert _stored_pass(family.curves, point).top == 5
+
+
+def test_failed_pass_is_not_stored():
+    # 6w - z vanishes at (w, z) = (-1, -6).  It is a wall of degree 3 only,
+    # and the degree-3 recursion on pair(1,0) inverts it.
+    _clear_sums()
+    wall = Specialization(Fraction(-1), Fraction(-6))
+    assert all(evaluate_weight(form, wall) != 0 for form in forbidden_weights(2))
+    assert any(evaluate_weight(form, wall) == 0 for form in forbidden_weights(3))
+    family = pair_family(1, 0)
+    with pytest.raises(DegenerateSpecializationError):
+        graph_sum(family, 3, wall)
+    assert _stored_pass(family.curves, wall).top == 0
+    assert graph_sum(family, 2, wall) == _enumerated_sum(family, 2, wall)
+    assert _stored_pass(family.curves, wall).top == 2
+
+
+def test_verify_runs_one_pass_per_curve_system_and_point(monkeypatch):
+    _clear_point_caches()
+    passes = []
+    recursion_pass = localization._recursion_pass
+
+    def counted(curves, top, point):
+        passes.append(top)
+        return recursion_pass(curves, top, point)
+
+    monkeypatch.setattr(localization, "_recursion_pass", counted)
+    assert all(check.passed for check in verify_identities(4, 20, seed=101))
+    assert passes == [4] * (9 * 20)
+    assert graph_sum.cache_info().misses == 15 * 4 * 20
+
+
+def test_point_caches_are_bounded_and_never_evict_in_verify():
+    _clear_point_caches()
+    assert all(check.passed for check in verify_identities(4, 20, seed=102))
+    for cache in (graph_sum, _stored_pass, edge_euler):
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.misses == info.currsize < info.maxsize, cache.__name__
 
 
 def test_graph_sum_rejects_nonpositive_degree():
@@ -218,7 +285,7 @@ def test_degenerate_walls_raise_and_never_divide_by_zero():
     # On each wall a*w + b*z = 0 the recursion may stop, but only with
     # DegenerateSpecializationError, and at least wherever enumeration
     # stops; where it does not stop it agrees with enumeration.
-    graph_sum.cache_clear()
+    _clear_sums()
     stopped = 0
     for form in forbidden_weights(2):
         wall = Specialization(form.b, -form.a)
