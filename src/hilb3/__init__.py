@@ -27,9 +27,9 @@ from .graphs import Family, StableGraph, enumerate_graphs, pair_family, punctual
 from .localization import edge_character, edge_euler, forbidden_weights, graph_sum
 from .invariants import (
     ConsistencyError,
+    IdentityCheck,
     InvariantResult,
-    degree_invariant,
-    scaled_invariant,
+    reproduce,
     two_point_pairing,
     verify_identities,
 )
@@ -53,6 +53,7 @@ __all__ = [
     "Family",
     "FixedPoint",
     "FockVector",
+    "IdentityCheck",
     "InvariantResult",
     "Rational",
     "Specialization",
@@ -61,7 +62,6 @@ __all__ = [
     "Weight",
     "basis",
     "curve_catalog",
-    "degree_invariant",
     "dual_basis",
     "edge_character",
     "edge_euler",
@@ -75,8 +75,8 @@ __all__ = [
     "pairing",
     "parse_rational",
     "punctual_family",
+    "reproduce",
     "sample_specializations",
-    "scaled_invariant",
     "tangent_character",
     "three_point_table",
     "two_point_pairing",

@@ -11,31 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .fock import (
-    basis,
-    contracted_class,
-    cubic_class,
-    base_square,
-    dual_basis,
+    _basis_monomials,
     format_monomial,
-    gram_matrix,
-    invert_matrix,
-    monomial,
     one_point,
-    pairing,
-    point_class,
-    fundamental_class,
-    taut_divisor,
     three_point_table,
     two_point_table,
-    vector,
-    wdvv_consistency,
-    LINE,
-    POINT,
-    SURFACE,
-    _basis_monomials,
 )
 from .graphs import (
     Family,
@@ -48,8 +30,8 @@ from .graphs import (
 from .geometry import curve_catalog, fixed_points
 from .invariants import (
     ConsistencyError,
-    degree_invariant,
-    scaled_invariant,
+    IdentityCheck,
+    reproduce,
     two_point_pairing,
     two_point_total,
     verify_identities,
@@ -58,13 +40,6 @@ from .localization import forbidden_weights, graph_sum
 from .scalars import format_rational, sample_specializations
 
 SCHEMA = "1"
-
-_FROZEN_INVARIANTS = {
-    1: Fraction(-27),
-    2: Fraction(27, 2),
-    3: Fraction(18),
-    4: Fraction(27, 4),
-}
 
 
 def _emit(text: str) -> None:
@@ -203,7 +178,6 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     except ConsistencyError as exc:
         _emit(f"FAIL: {exc}")
         return 1
-    invariant = result.value / 3
     rows = [
         {
             "w": pt.as_strings()[0],
@@ -217,13 +191,13 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
             {
                 "d": args.d,
                 "ab": format_rational(result.value),
-                "invariant": format_rational(invariant),
+                "invariant": format_rational(result.invariant),
                 "specializations": rows,
                 "verified_constant": result.verified_constant,
             }
         )
         return 0
-    _emit(f"degree {args.d}: invariant = {format_rational(invariant)}")
+    _emit(f"degree {args.d}: invariant = {format_rational(result.invariant)}")
     _emit(f"raw two-point pairing = {format_rational(result.value)}")
     if result.verified_constant:
         _emit(f"constant across {len(rows)} specializations (seed {args.seed}): yes")
@@ -235,15 +209,15 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = verify_identities(d_max=args.dmax, num_specs=args.specs, seed=args.seed)
-    failures = [c for c in checks if not c.passed]
+def _report_checks(
+    args: argparse.Namespace, checks: list[IdentityCheck], payload: dict, summary: str
+) -> int:
+    """Print check records as PASS/FAIL lines or as JSON; exit 1 on any failure."""
+    failures = sum(1 for c in checks if not c.passed)
     if args.json:
         _emit_json(
             {
-                "dmax": args.dmax,
-                "specializations": args.specs,
-                "seed": args.seed,
+                **payload,
                 "checks": [
                     {"name": c.name, "passed": c.passed, "detail": c.detail}
                     for c in checks
@@ -256,9 +230,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if c.passed:
             _emit(f"PASS {c.name}")
         else:
-            _emit(f"FAIL {c.name} ({c.detail})")
-    _emit(f"{len(checks) - len(failures)}/{len(checks)} identities hold")
+            _emit(f"FAIL {c.name}" + (f" ({c.detail})" if c.detail else ""))
+    _emit(f"{len(checks) - failures}/{len(checks)} {summary}")
     return 1 if failures else 0
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    checks = verify_identities(d_max=args.dmax, num_specs=args.specs, seed=args.seed)
+    payload = {"dmax": args.dmax, "specializations": args.specs, "seed": args.seed}
+    return _report_checks(args, checks, payload, "identities hold")
 
 
 def _one_point_rows(dmax: int) -> list[dict]:
@@ -273,42 +253,20 @@ def _one_point_rows(dmax: int) -> list[dict]:
     return rows
 
 
-def _two_point_rows(dmax: int, f_values: list[Fraction]) -> tuple[list[dict], int]:
-    nonzero: dict[tuple, list[str]] = {}
-    for d in range(1, dmax + 1):
-        table = two_point_table(d, f_values[d - 1])
-        for key, value in sorted(table.items()):
-            if any(two_point_table(dd, f_values[dd - 1])[key] != 0 for dd in range(1, dmax + 1)):
-                nonzero.setdefault(key, []).append(format_rational(value))
-    zeros = 30 - len(nonzero)
-    rows = [
-        {
-            "classes": [format_monomial(key[0]), format_monomial(key[1])],
-            "values": values,
-        }
-        for key, values in sorted(nonzero.items())
-    ]
-    return rows, zeros
+def _nonzero_rows(tables: list[dict]) -> tuple[list[dict], int]:
+    """Rows of the keys nonzero in some degree's table, and the count of the rest.
 
-
-def _three_point_rows(dmax: int, f_values: list[Fraction]) -> tuple[list[dict], int]:
-    nonzero: dict[tuple, list[str]] = {}
-    for d in range(1, dmax + 1):
-        table = three_point_table(d, f_values[:d])
-        for key, value in sorted(table.items()):
-            if any(
-                three_point_table(dd, f_values[:dd])[key] != 0 for dd in range(1, dmax + 1)
-            ):
-                nonzero.setdefault(key, []).append(format_rational(value))
-    zeros = 35 - len(nonzero)
+    ``tables`` holds one table per degree, in degree order, all on the same keys.
+    """
+    keys = sorted(key for key in tables[0] if any(table[key] != 0 for table in tables))
     rows = [
         {
             "classes": [format_monomial(m) for m in key],
-            "values": values,
+            "values": [format_rational(table[key]) for table in tables],
         }
-        for key, values in sorted(nonzero.items())
+        for key in keys
     ]
-    return rows, zeros
+    return rows, len(tables[0]) - len(keys)
 
 
 def _render_table(title: str, header: list[str], rows: list[list[str]], markdown: bool) -> None:
@@ -330,11 +288,17 @@ def _render_table(title: str, header: list[str], rows: list[list[str]], markdown
 
 def _cmd_table(args: argparse.Namespace) -> int:
     dmax = args.dmax
-    f_values = [scaled_invariant(d, seed=args.seed) for d in range(1, dmax + 1)]
-    degree_header = [f"d={d}" for d in range(1, dmax + 1)]
+    degrees = range(1, dmax + 1)
+    # Top degree first: its recursion pass on each curve system and point
+    # then serves every lower degree.
+    results = {d: two_point_pairing(d, seed=args.seed) for d in reversed(degrees)}
+    f_values = [results[d].scaled for d in degrees]
+    degree_header = [f"d={d}" for d in degrees]
     one_rows = _one_point_rows(dmax)
-    two_rows, two_zeros = _two_point_rows(dmax, f_values)
-    three_rows, three_zeros = _three_point_rows(dmax, f_values)
+    two_tables = [two_point_table(d, f_values[d - 1]) for d in degrees]
+    three_tables = [three_point_table(d, f_values[:d]) for d in degrees]
+    two_rows, two_zeros = _nonzero_rows(two_tables)
+    three_rows, three_zeros = _nonzero_rows(three_tables)
     if args.json:
         payload = {
             "dmax": dmax,
@@ -363,14 +327,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
     if args.kind in ("two", "all"):
         _render_table(
-            f"two-point counts (nonzero rows; {two_zeros} of 30 pairs vanish)",
+            f"two-point counts (nonzero rows; {two_zeros} of {len(two_tables[0])} pairs vanish)",
             ["first class", "second class", *degree_header],
             [[r["classes"][0], r["classes"][1], *r["values"]] for r in two_rows],
             md,
         )
     if args.kind in ("three", "all"):
         _render_table(
-            f"three-point counts (nonzero rows; {three_zeros} of 35 triples vanish)",
+            f"three-point counts (nonzero rows; {three_zeros} of {len(three_tables[0])} "
+            "triples vanish)",
             ["classes", *degree_header],
             [[" , ".join(r["classes"]), *r["values"]] for r in three_rows],
             md,
@@ -378,134 +343,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reproduction_checks(seed: int) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append((name, passed, detail))
-
-    pairings = {}
-    for d, expected in _FROZEN_INVARIANTS.items():
-        try:
-            result = two_point_pairing(d, seed=seed)
-            pairings[d] = result.value
-            got = result.value / 3
-            add(
-                f"degree {d} invariant equals {format_rational(expected)}",
-                got == expected,
-                f"got {format_rational(got)}",
-            )
-            add(
-                f"degree {d} raw pairing equals {format_rational(3 * expected)}",
-                result.value == 3 * expected,
-                f"got {format_rational(result.value)}",
-            )
-        except ConsistencyError as exc:
-            add(f"degree {d} invariant computes", False, str(exc))
-
-    for check in verify_identities(d_max=4, num_specs=5, seed=seed):
-        add(check.name, check.passed, check.detail)
-
-    datum = monomial((2, LINE), (1, POINT))
-    partner = monomial((2, LINE), (1, SURFACE))
-    dual = dual_basis(4)[1]
-    add(
-        "dual basis coefficient -1/2 on the recorded datum",
-        dual == Fraction(-1, 2) * vector(partner),
-        str(dual),
-    )
-    add(
-        "point class pairs to 1 with the fundamental class",
-        pairing(point_class(), fundamental_class()) == 1,
-        "",
-    )
-    gram_ok = True
-    for k in range(0, 13, 2):
-        try:
-            invert_matrix(gram_matrix(k))
-        except ValueError:
-            gram_ok = False
-    add("all complementary Gram matrices are nonsingular", gram_ok, "")
-    add(
-        "untwisted divisor pairs to 1 with the contracted class",
-        pairing(taut_divisor(0), contracted_class()) == 1,
-        "",
-    )
-    add("one-point value at degree 2 equals -3/2", one_point(datum, 2) == Fraction(-3, 2), "")
-
-    f_values = [pairings[d] / 3 * d for d in (1, 2, 3, 4) if d in pairings]
-    if len(f_values) == 4:
-        add(
-            "scaled values are -27, 27, 54, 27",
-            f_values == [Fraction(-27), Fraction(27), Fraction(54), Fraction(27)],
-            ", ".join(format_rational(v) for v in f_values),
-        )
-        for d in (1, 2, 3, 4):
-            table = two_point_table(d, f_values[d - 1])
-            nonzero = sorted(v for v in table.values() if v != 0)
-            expected2 = sorted([Fraction(12, d), Fraction(12, d), f_values[d - 1] / d])
-            add(
-                f"two-point table degree {d} has nonzero entries 12/d, 12/d, f/d",
-                nonzero == expected2,
-                ", ".join(format_rational(v) for v in nonzero),
-            )
-            add(
-                f"composition-law consistency at degree {d}",
-                wdvv_consistency(d, f_values[:d]),
-                "",
-            )
-            expansion = Fraction(0)
-            a = cubic_class()
-            b = base_square()
-            for (cm, bm), value in table.items():
-                expansion += a.coefficient(cm) * b.coefficient(bm) * value
-            add(
-                f"bilinear table expansion reproduces the degree {d} pairing",
-                expansion == pairings[d],
-                f"expansion {format_rational(expansion)} vs {format_rational(pairings[d])}",
-            )
-        top = (monomial((3, SURFACE),),) * 3
-        t3 = three_point_table(1, f_values[:1])
-        add(
-            "top three-point entry at degree 1 equals 243",
-            t3[top] == 243,
-            format_rational(t3[top]),
-        )
-        t3_counts = {
-            d: sum(1 for v in three_point_table(d, f_values[:d]).values() if v != 0)
-            for d in (1, 2, 3, 4)
-        }
-        add(
-            "three-point tables have exactly four nonzero triples",
-            all(count == 4 for count in t3_counts.values()),
-            str(t3_counts),
-        )
-    return checks
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    checks = _reproduction_checks(args.seed)
-    failures = [c for c in checks if not c[1]]
-    if args.json:
-        _emit_json(
-            {
-                "seed": args.seed,
-                "checks": [
-                    {"name": name, "passed": passed, "detail": detail}
-                    for name, passed, detail in checks
-                ],
-                "all_passed": not failures,
-            }
-        )
-        return 1 if failures else 0
-    for name, passed, detail in checks:
-        if passed:
-            _emit(f"PASS {name}")
-        else:
-            suffix = f" ({detail})" if detail else ""
-            _emit(f"FAIL {name}{suffix}")
-    _emit(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
-    return 1 if failures else 0
+    return _report_checks(args, reproduce(args.seed), {"seed": args.seed}, "checks passed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,10 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dmax > 4:
             parser.error("tables are recorded for degrees up to 4")
         return _cmd_table(args)
-    if args.command == "reproduce":
-        return _cmd_reproduce(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return _cmd_reproduce(args)
 
 
 if __name__ == "__main__":

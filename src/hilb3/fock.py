@@ -352,31 +352,19 @@ def three_point_table(
     return table
 
 
+# The nonzero entries of the three-point table, by index triple into the
+# degree-8 basis; every other triple vanishes.
+_THREE_POINT_CASES = {
+    (0, 0, 0): _case_iv,
+    (0, 0, 1): lambda d, f: -2 * Fraction(f[d - 1]),
+    (0, 0, 2): lambda d, f: -2 * Fraction(f[d - 1]),
+    (1, 1, 2): lambda d, f: Fraction(-24),
+}
+
+
 def _three_point_value(idx: tuple[int, int, int], d: int, f: Sequence[Rational]) -> Fraction:
-    counts = {n: idx.count(n) for n in range(5)}
-    if idx == (0, 0, 0):
-        return _case_iv(d, f)
-    if idx in ((0, 0, 1), (0, 0, 2)):
-        return -2 * Fraction(f[d - 1])
-    if idx == (1, 1, 2):
-        return Fraction(-24)
-    if counts[0] == 1:
-        return Fraction(0)
-    if counts[3] >= 2:
-        return Fraction(0)
-    if counts[4] >= 1:
-        return Fraction(0)
-    if idx == (0, 0, 3):
-        return Fraction(0)
-    if counts[1] >= 2:
-        return Fraction(0)
-    if idx == (1, 2, 3):
-        return Fraction(0)
-    if all(n in (2, 3) for n in idx):
-        return Fraction(0)
-    if idx == (1, 2, 2):
-        return Fraction(0)
-    raise ValueError(f"no table case covers index triple {idx}")
+    case = _THREE_POINT_CASES.get(idx)
+    return case(d, f) if case else Fraction(0)
 
 
 def wdvv_consistency(d: int, f: Sequence[Rational]) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
 
-from .scalars import Specialization, VirtualCharacter, Weight, evaluate_weight
+from .scalars import Specialization, VirtualCharacter, Weight
 
 __all__ = [
     "CHARTS",

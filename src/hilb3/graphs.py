@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import Curve, FixedPoint, curve_catalog, pair_curve, punctual_curve
+from .geometry import Curve, FixedPoint, curve_catalog, fixed_points, pair_curve, punctual_curve
 
 __all__ = [
     "Edge",
@@ -294,7 +294,7 @@ def catalog_summary() -> dict:
     """Counts used by the command-line catalog listing."""
     curves = curve_catalog()
     return {
-        "fixed_points": 21,
+        "fixed_points": len(fixed_points()),
         "curves": len(curves),
         "pair_curves": sum(1 for c in curves if c.kind == "pair"),
         "punctual_curves": sum(1 for c in curves if c.kind == "punctual"),

@@ -5,15 +5,36 @@ family: for each ordered chart pair a residual-pair family weighted by the
 difference of insertion values at its two marked points, and for each chart
 a punctual family combining the three stratum pairs.  The total is a degree
 zero rational function of the torus weights, so it is evaluated at several
-random specializations and required to be constant.
+random specializations and required to be constant.  :func:`reproduce`
+re-derives every recorded number from these values and the count tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from .fock import (
+    LINE,
+    POINT,
+    SURFACE,
+    base_square,
+    contracted_class,
+    cubic_class,
+    dual_basis,
+    fundamental_class,
+    gram_matrix,
+    invert_matrix,
+    monomial,
+    one_point,
+    pairing,
+    point_class,
+    taut_divisor,
+    three_point_table,
+    two_point_table,
+    vector,
+    wdvv_consistency,
+)
 from .geometry import FixedPoint, chart_weight, hyperplane_weight, taut_c1
 from .graphs import pair_family, punctual_family
 from .localization import forbidden_weights, graph_sum
@@ -21,6 +42,7 @@ from .scalars import (
     Rational,
     Specialization,
     evaluate_weight,
+    format_rational,
     sample_specializations,
 )
 
@@ -82,15 +104,27 @@ def two_point_total(d: int, spec: Specialization) -> Rational:
 
 @dataclass(frozen=True)
 class InvariantResult:
-    """A two-point value with the specializations it was evaluated at.
+    """A raw two-point pairing with the specializations it was evaluated at.
 
-    The value agreed at every point in ``points``; only with two or more of
-    them was that a check (``verified_constant``).
+    ``value`` is the pairing itself; ``invariant`` is one third of it and
+    ``scaled`` is ``d`` times that.  The value agreed at every point in
+    ``points``; only with two or more of them was that a check
+    (``verified_constant``).
     """
 
     d: int
     value: Rational
     points: tuple[Specialization, ...]
+
+    @property
+    def invariant(self) -> Rational:
+        """The normalized two-point invariant: one third of the pairing."""
+        return self.value / 3
+
+    @property
+    def scaled(self) -> Rational:
+        """``d`` times the invariant; the quantity the count tables consume."""
+        return self.d * self.invariant
 
     @property
     def verified_constant(self) -> bool:
@@ -115,17 +149,6 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
             f"two-point total varies across specializations in degree {d}: {totals}"
         )
     return InvariantResult(d, totals[0], points)
-
-
-def degree_invariant(d: int, num_points: int = 3, seed: int = 0) -> InvariantResult:
-    """The normalized two-point invariant (one third of the raw pairing)."""
-    raw = two_point_pairing(d, num_points=num_points, seed=seed)
-    return InvariantResult(d, raw.value / 3, raw.points)
-
-
-def scaled_invariant(d: int, num_points: int = 3, seed: int = 0) -> Rational:
-    """``d`` times the normalized invariant; the quantity recursions consume."""
-    return d * degree_invariant(d, num_points=num_points, seed=seed).value
 
 
 # Closed-form evaluations used as independent cross-checks.  Each is a
@@ -372,4 +395,125 @@ def verify_identities(d_max: int = 4, num_specs: int = 5, seed: int = 0) -> list
                     for i in range(3)
                 ),
             ))
+    return checks
+
+
+_FROZEN_INVARIANTS = {
+    1: Fraction(-27),
+    2: Fraction(27, 2),
+    3: Fraction(18),
+    4: Fraction(27, 4),
+}
+
+
+def reproduce(seed: int = 0) -> list[IdentityCheck]:
+    """Recompute every recorded number and check it against its record.
+
+    Covers the degree one to four invariants, every closed-form identity,
+    the dual-basis and pairing pins, the count tables regenerated from the
+    engine's values and the composition law.  Returns one record per check.
+    """
+    checks: list[IdentityCheck] = []
+
+    def add(name: str, passed: bool, detail: str = "") -> None:
+        checks.append(IdentityCheck(name, passed, detail))
+
+    # Degree 4 first: its recursion pass on each curve system and point
+    # then serves every lower degree.
+    outcomes: dict[int, InvariantResult | ConsistencyError] = {}
+    for d in sorted(_FROZEN_INVARIANTS, reverse=True):
+        try:
+            outcomes[d] = two_point_pairing(d, seed=seed)
+        except ConsistencyError as exc:
+            outcomes[d] = exc
+    pairings: dict[int, InvariantResult] = {}
+    for d, expected in _FROZEN_INVARIANTS.items():
+        result = outcomes[d]
+        if isinstance(result, ConsistencyError):
+            add(f"degree {d} invariant computes", False, str(result))
+            continue
+        pairings[d] = result
+        add(
+            f"degree {d} invariant equals {format_rational(expected)}",
+            result.invariant == expected,
+            f"got {format_rational(result.invariant)}",
+        )
+        add(
+            f"degree {d} raw pairing equals {format_rational(3 * expected)}",
+            result.value == 3 * expected,
+            f"got {format_rational(result.value)}",
+        )
+
+    checks.extend(verify_identities(d_max=4, num_specs=5, seed=seed))
+
+    datum = monomial((2, LINE), (1, POINT))
+    partner = monomial((2, LINE), (1, SURFACE))
+    dual = dual_basis(4)[1]
+    add(
+        "dual basis coefficient -1/2 on the recorded datum",
+        dual == Fraction(-1, 2) * vector(partner),
+        str(dual),
+    )
+    add(
+        "point class pairs to 1 with the fundamental class",
+        pairing(point_class(), fundamental_class()) == 1,
+    )
+    gram_ok = True
+    for k in range(0, 13, 2):
+        try:
+            invert_matrix(gram_matrix(k))
+        except ValueError:
+            gram_ok = False
+    add("all complementary Gram matrices are nonsingular", gram_ok)
+    add(
+        "untwisted divisor pairs to 1 with the contracted class",
+        pairing(taut_divisor(0), contracted_class()) == 1,
+    )
+    add("one-point value at degree 2 equals -3/2", one_point(datum, 2) == Fraction(-3, 2))
+
+    if len(pairings) < len(_FROZEN_INVARIANTS):
+        return checks
+    f_values = [pairings[d].scaled for d in (1, 2, 3, 4)]
+    add(
+        "scaled values are -27, 27, 54, 27",
+        f_values == [Fraction(-27), Fraction(27), Fraction(54), Fraction(27)],
+        ", ".join(format_rational(v) for v in f_values),
+    )
+    for d in (1, 2, 3, 4):
+        table = two_point_table(d, f_values[d - 1])
+        nonzero = sorted(v for v in table.values() if v != 0)
+        expected2 = sorted([Fraction(12, d), Fraction(12, d), f_values[d - 1] / d])
+        add(
+            f"two-point table degree {d} has nonzero entries 12/d, 12/d, f/d",
+            nonzero == expected2,
+            ", ".join(format_rational(v) for v in nonzero),
+        )
+        add(f"composition-law consistency at degree {d}", wdvv_consistency(d, f_values[:d]))
+        expansion = Fraction(0)
+        a = cubic_class()
+        b = base_square()
+        for (cm, bm), value in table.items():
+            expansion += a.coefficient(cm) * b.coefficient(bm) * value
+        raw = pairings[d].value
+        add(
+            f"bilinear table expansion reproduces the degree {d} pairing",
+            expansion == raw,
+            f"expansion {format_rational(expansion)} vs {format_rational(raw)}",
+        )
+    top = (monomial((3, SURFACE),),) * 3
+    t3 = three_point_table(1, f_values[:1])
+    add(
+        "top three-point entry at degree 1 equals 243",
+        t3[top] == 243,
+        format_rational(t3[top]),
+    )
+    t3_counts = {
+        d: sum(1 for v in three_point_table(d, f_values[:d]).values() if v != 0)
+        for d in (1, 2, 3, 4)
+    }
+    add(
+        "three-point tables have exactly four nonzero triples",
+        all(count == 4 for count in t3_counts.values()),
+        str(t3_counts),
+    )
     return checks

@@ -42,7 +42,6 @@ from hilb3.graphs import (
 from hilb3.geometry import pair_curve
 from hilb3.invariants import (
     pair_family_term,
-    scaled_invariant,
     two_point_pairing,
     two_point_total,
     verify_identities,
@@ -199,7 +198,7 @@ def test_criterion_6_fock_pins():
 
 
 def test_criterion_7_tables_regenerate_from_engine_values():
-    f_values = [scaled_invariant(d) for d in (1, 2, 3, 4)]
+    f_values = [two_point_pairing(d).scaled for d in (1, 2, 3, 4)]
     assert f_values == [Fraction(-27), Fraction(27), Fraction(54), Fraction(27)]
     datum = monomial((2, LINE), (1, POINT))
     for d in (1, 2, 3, 4):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hilb3 import cli
 from hilb3.cli import main
+from hilb3.invariants import IdentityCheck
 
 
 def run_cli(capsys, *argv):
@@ -217,3 +219,41 @@ def test_invariant_two_points_output_is_pinned(capsys):
         "raw two-point pairing = 81/2\n"
         "constant across 2 specializations (seed 0): yes\n"
     )
+
+
+MIXED_CHECKS = [
+    IdentityCheck("holds", True),
+    IdentityCheck("breaks with a reason", False, "1 != 2"),
+    IdentityCheck("breaks silently", False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, source, summary",
+    [
+        (["verify", "--dmax", "1"], "verify_identities", "1/3 identities hold"),
+        (["reproduce"], "reproduce", "1/3 checks passed"),
+    ],
+    ids=["verify", "reproduce"],
+)
+def test_failing_checks_print_fail_lines_and_exit_one(
+    capsys, monkeypatch, argv, source, summary
+):
+    monkeypatch.setattr(cli, source, lambda *args, **kwargs: MIXED_CHECKS)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "PASS holds\n"
+        "FAIL breaks with a reason (1 != 2)\n"
+        "FAIL breaks silently\n"
+        f"{summary}\n"
+    )
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    assert payload["checks"] == [
+        {"name": "holds", "passed": True, "detail": ""},
+        {"name": "breaks with a reason", "passed": False, "detail": "1 != 2"},
+        {"name": "breaks silently", "passed": False, "detail": ""},
+    ]

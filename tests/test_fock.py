@@ -209,6 +209,27 @@ def test_three_point_nonzero_entries(d):
     assert table[(_eight(1), _eight(1), _eight(2))] == -24
 
 
+# Every entry of three_point_table(d, (2, 3, 5, 7)[:d]), by index triple
+# into the degree-8 basis; the triples not listed are 0.
+PRIME_INPUT_ENTRIES = {
+    1: {(0, 0, 0): Fraction(-192), (0, 0, 1): -4, (0, 0, 2): -4, (1, 1, 2): -24},
+    2: {(0, 0, 0): Fraction(-581, 3), (0, 0, 1): -6, (0, 0, 2): -6, (1, 1, 2): -24},
+    3: {(0, 0, 0): Fraction(-203), (0, 0, 1): -10, (0, 0, 2): -10, (1, 1, 2): -24},
+    4: {(0, 0, 0): Fraction(-592, 3), (0, 0, 1): -14, (0, 0, 2): -14, (1, 1, 2): -24},
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_three_point_table_pinned_on_prime_inputs(d):
+    table = three_point_table(d, (2, 3, 5, 7)[:d])
+    expected = PRIME_INPUT_ENTRIES[d]
+    triples = list(itertools.combinations_with_replacement(range(5), 3))
+    assert len(triples) == len(table) == 35
+    for triple in triples:
+        key = tuple(_eight(i) for i in triple)
+        assert table[key] == expected.get(triple, 0), triple
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_composition_law_consistency(d):
     assert wdvv_consistency(d, SCALED[:d])

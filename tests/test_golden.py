@@ -1,8 +1,9 @@
-"""Golden stdout: the heavy subcommands print exactly the recorded bytes.
+"""Golden stdout: every subcommand prints exactly the recorded bytes.
 
-The files under ``tests/golden`` hold the stdout of each command at seed 7,
-plain and ``--json``.  Any change to the engine that moves a value, an
-ordering or a line of output fails here byte for byte.
+The files under ``tests/golden`` hold the stdout of each command, plain and
+``--json``; the commands that sample specializations run at seed 7.  Any
+change to the engine that moves a value, an ordering or a line of output
+fails here byte for byte.
 """
 
 from pathlib import Path
@@ -13,18 +14,26 @@ from hilb3.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+SEED = ["--seed", "7"]
+PAIR_D2 = ["--family", "pair", "--i", "0", "--j", "1", "--d", "2"]
+
 COMMANDS = {
-    "verify": ["verify", "--dmax", "4", "--specs", "5"],
-    "reproduce": ["reproduce"],
-    "table": ["table", "--dmax", "4"],
-    "invariant": ["invariant", "--d", "6", "--points", "2"],
+    "catalog": ["catalog"],
+    "graphs": ["graphs", *PAIR_D2],
+    "graphsum": ["graphsum", *PAIR_D2, *SEED],
+    "verify": ["verify", "--dmax", "4", "--specs", "5", *SEED],
+    "reproduce": ["reproduce", *SEED],
+    "table": ["table", "--dmax", "4", *SEED],
+    "table_markdown": ["table", "--dmax", "4", "--markdown", *SEED],
+    "table_two": ["table", "--dmax", "2", "--kind", "two", *SEED],
+    "invariant": ["invariant", "--d", "6", "--points", "2", *SEED],
 }
 
 
 @pytest.mark.parametrize("json_flag", ["", "--json"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(capsys, name, json_flag):
-    argv = COMMANDS[name] + ["--seed", "7"] + ([json_flag] if json_flag else [])
+    argv = COMMANDS[name] + ([json_flag] if json_flag else [])
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}{'.json' if json_flag else ''}.txt").read_text()
     assert capsys.readouterr().out == expected

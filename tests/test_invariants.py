@@ -6,12 +6,10 @@ import pytest
 
 from hilb3.invariants import (
     ConsistencyError,
-    degree_invariant,
     family_term_closed,
     pair_family_term,
     pair_sum_closed,
     punctual_family_term,
-    scaled_invariant,
     two_point_pairing,
     two_point_total,
     verify_identities,
@@ -33,11 +31,11 @@ EXPECTED_INVARIANTS = {
 def test_frozen_invariants(d):
     result = two_point_pairing(d)
     assert result.value == 3 * EXPECTED_INVARIANTS[d]
-    assert degree_invariant(d).value == EXPECTED_INVARIANTS[d]
+    assert result.invariant == EXPECTED_INVARIANTS[d]
 
 
 def test_scaled_invariants():
-    assert [scaled_invariant(d) for d in (1, 2, 3, 4)] == [
+    assert [two_point_pairing(d).scaled for d in (1, 2, 3, 4)] == [
         Fraction(-27),
         Fraction(27),
         Fraction(54),
@@ -99,7 +97,6 @@ def test_one_point_is_not_a_constancy_check():
     assert single.value == Fraction(81, 2)
     assert len(single.points) == 1
     assert not single.verified_constant
-    assert not degree_invariant(2, num_points=1).verified_constant
 
 
 def test_two_points_are_a_constancy_check():
@@ -107,7 +104,6 @@ def test_two_points_are_a_constancy_check():
     assert double.value == Fraction(81, 2)
     assert len(double.points) == 2
     assert double.verified_constant
-    assert degree_invariant(2, num_points=2).verified_constant
 
 
 def test_two_point_pairing_validates_arguments():
@@ -154,4 +150,4 @@ def test_observed_pattern_f_of_d_plus_3_is_minus_f_of_d(d, expected):
     # f(d) = d * invariant reads -27, 27, 54, 27, -27, -54, ... and so far
     # f(d + 3) = -f(d).  These pins hold it at f(7) = -f(4) and
     # f(8) = -f(5), each checked constant across two specializations.
-    assert scaled_invariant(d, num_points=2) == expected
+    assert two_point_pairing(d, num_points=2).scaled == expected

@@ -23,6 +23,7 @@ from hilb3.graphs import (
     punctual_family,
 )
 from hilb3 import localization
+from hilb3.cli import main
 from hilb3.invariants import verify_identities
 from hilb3.localization import (
     _stored_pass,
@@ -251,19 +252,45 @@ def test_failed_pass_is_not_stored():
     assert _stored_pass(family.curves, wall).top == 2
 
 
-def test_verify_runs_one_pass_per_curve_system_and_point(monkeypatch):
+@pytest.fixture
+def passes(monkeypatch):
+    """The degree of every recursion pass run from cold point caches on."""
     _clear_point_caches()
-    passes = []
+    tops = []
     recursion_pass = localization._recursion_pass
 
     def counted(curves, top, point):
-        passes.append(top)
+        tops.append(top)
         return recursion_pass(curves, top, point)
 
     monkeypatch.setattr(localization, "_recursion_pass", counted)
+    return tops
+
+
+def test_verify_runs_one_pass_per_curve_system_and_point(passes):
     assert all(check.passed for check in verify_identities(4, 20, seed=101))
     assert passes == [4] * (9 * 20)
     assert graph_sum.cache_info().misses == 15 * 4 * 20
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # 3 points x 8 curve systems: the pairing skips the chart-0
+        # triangle, whose mark factors vanish.
+        (["table", "--dmax", "4"], 24),
+        # verify's 5 points x 9 systems; its first 3 points are the
+        # pairing's, whose 24 passes it reuses.
+        (["reproduce"], 45),
+    ],
+    ids=["table", "reproduce"],
+)
+def test_table_and_reproduce_run_one_pass_per_curve_system_and_point(
+    passes, capsys, argv, expected
+):
+    assert main(argv + ["--seed", "0"]) == 0
+    capsys.readouterr()
+    assert passes == [4] * expected
 
 
 def test_point_caches_are_bounded_and_never_evict_in_verify():
