@@ -33,7 +33,6 @@ from .invariants import (
     IdentityCheck,
     reproduce,
     two_point_pairing,
-    two_point_total,
     verify_identities,
 )
 from .localization import forbidden_weights, graph_sum
@@ -182,7 +181,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         {
             "w": pt.as_strings()[0],
             "z": pt.as_strings()[1],
-            "total": format_rational(two_point_total(args.d, pt)),
+            "total": format_rational(result.value),
         }
         for pt in result.points
     ]

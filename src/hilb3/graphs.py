@@ -58,15 +58,8 @@ class StableGraph:
     def incident_edges(self, vertex: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if vertex in (e.head, e.tail))
 
-    def valence(self, vertex: int) -> int:
-        return len(self.incident_edges(vertex))
-
     def mark_count(self, vertex: int) -> int:
         return (self.marks[0] == vertex) + (self.marks[1] == vertex)
-
-    def point_count(self, vertex: int) -> int:
-        """Flags plus marks at the vertex (special points of its component)."""
-        return self.valence(vertex) + self.mark_count(vertex)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .fock import (
     LINE,
@@ -63,22 +64,22 @@ def quadratic_insertion(point: FixedPoint, spec: Specialization) -> Rational:
     return evaluate_weight(taut_c1(point, 0), spec) ** 2
 
 
-def pair_family_term(d: int, i: int, j: int, spec: Specialization) -> Rational:
-    """Weighted graph sum of the residual-pair family between charts i and j."""
-    first = FixedPoint.pair(i, j, 1)
-    second = FixedPoint.pair(i, j, 2)
+def _mark_factor(first: FixedPoint, second: FixedPoint, spec: Specialization) -> Rational:
+    """Insertion-difference weight of a family whose marks sit at ``first``, ``second``."""
     delta_cubic = cubic_insertion(first, spec) - cubic_insertion(second, spec)
     delta_quadratic = quadratic_insertion(first, spec) - quadratic_insertion(second, spec)
-    return -delta_cubic * delta_quadratic * graph_sum(pair_family(i, j), d, spec)
+    return -delta_cubic * delta_quadratic
+
+
+def pair_family_term(d: int, i: int, j: int, spec: Specialization) -> Rational:
+    """Weighted graph sum of the residual-pair family between charts i and j."""
+    family = pair_family(i, j)
+    return _mark_factor(*family.mark_labels, spec) * graph_sum(family, d, spec)
 
 
 def punctual_mark_factor(i: int, j: int, k: int, spec: Specialization) -> Rational:
     """Insertion-difference weight for the punctual strata j, k in chart i."""
-    first = FixedPoint.punctual(i, j)
-    second = FixedPoint.punctual(i, k)
-    delta_cubic = cubic_insertion(first, spec) - cubic_insertion(second, spec)
-    delta_quadratic = quadratic_insertion(first, spec) - quadratic_insertion(second, spec)
-    return -delta_cubic * delta_quadratic
+    return _mark_factor(FixedPoint.punctual(i, j), FixedPoint.punctual(i, k), spec)
 
 
 def punctual_family_term(d: int, i: int, spec: Specialization) -> Rational:
@@ -273,6 +274,60 @@ def _check(name: str, cases) -> IdentityCheck:
     return IdentityCheck(name, True)
 
 
+def _cases(engine, closed, indices, context: str, points):
+    """(lhs, rhs, context) triples of ``side(*index, point)``, points outermost."""
+    return (
+        (engine(*index, pt), closed(*index, pt), f"{context.format(*index)} at w={pt.w}, z={pt.z}")
+        for pt in points
+        for index in indices
+    )
+
+
+def _pair_sum(d: int, i: int, j: int, spec: Specialization) -> Rational:
+    return graph_sum(pair_family(i, j), d, spec)
+
+
+def _stratum_sum(d: int, i: int, j: int, k: int, spec: Specialization) -> Rational:
+    return graph_sum(punctual_family(i, j, k), d, spec)
+
+
+def _stratum_closed(d: int, i: int, j: int, k: int, spec: Specialization) -> Rational:
+    """The displayed stratum (j, k) sum of chart i; (0,2) is (0,1) with the axes swapped."""
+    w, z = _local_values(i, spec)
+    if (j, k) == (1, 2):
+        return _punctual_12_closed(d, w, z)
+    return _punctual_01_closed(d, w, z) if (j, k) == (0, 1) else _punctual_01_closed(d, z, w)
+
+
+def _stratum_recursed(d: int, i: int, j: int, k: int, spec: Specialization) -> Rational:
+    return _punctual_01_recursed(d, *_local_values(i, spec))
+
+
+def _charts(*strata: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((i, *strata) for i in range(3))
+
+
+_CHART_PAIRS = tuple((i, j) for i in range(3) for j in range(3) if i != j)
+
+# One row per identity: its name, first degree, indices, the context text
+# that a failure formats with its index, engine side and closed side.  Each
+# side is called as ``side(d, *index, point)``.
+_IDENTITIES = (
+    ("pair family sum", 1, _CHART_PAIRS, "(i,j)=({},{})", _pair_sum, pair_sum_closed),
+    ("punctual family sum, strata (0,1)", 1, _charts(0, 1), "i={}",
+     _stratum_sum, _stratum_closed),
+    ("punctual family sum, strata (0,1), alternative shape", 2, _charts(0, 1), "i={}",
+     _stratum_sum, _stratum_recursed),
+    ("punctual family sum, strata (0,2), is the (0,1) sum with axes swapped", 1, _charts(0, 2),
+     "i={}", _stratum_sum, _stratum_closed),
+    ("punctual family sum, strata (1,2)", 1, _charts(1, 2), "i={}",
+     _stratum_sum, _stratum_closed),
+    ("punctual family term", 1, _charts(), "i={}", punctual_family_term, family_term_closed),
+    ("punctual family term, alternative shape", 2, _charts(), "i={}",
+     punctual_family_term, family_term_recursed),
+)
+
+
 def verify_identities(d_max: int = 4, num_specs: int = 5, seed: int = 0) -> list[IdentityCheck]:
     """Compare every engine graph sum against its closed form, pointwise.
 
@@ -281,121 +336,26 @@ def verify_identities(d_max: int = 4, num_specs: int = 5, seed: int = 0) -> list
     """
     if not 1 <= d_max <= 4:
         raise ValueError("closed forms cover degrees 1 through 4 only")
+    if num_specs < 1:
+        raise ValueError("need at least one specialization")
     points = sample_specializations(num_specs, seed=seed, forbidden=forbidden_weights(d_max))
-    # Degree d_max first: its recursion pass on each curve system and point
-    # then serves every family on those curves and every lower degree.
-    for pt in points:
-        for i in range(3):
-            graph_sum(punctual_family(i, 0, 1), d_max, pt)
-            for j in range(3):
-                if i != j:
-                    graph_sum(pair_family(i, j), d_max, pt)
-    checks: list[IdentityCheck] = []
-
-    checks.append(_check(
+    marks = tuple((i, j, k) for i in range(3) for j, k in ((0, 1), (0, 2), (1, 2)))
+    mark_check = _check(
         "mark factors match their displays",
-        (
-            (
-                punctual_mark_factor(i, j, k, pt),
-                _mark_factor_closed(i, j, k, pt),
-                f"i={i} strata=({j},{k}) at w={pt.w}, z={pt.z}",
-            )
-            for pt in points
-            for i in range(3)
-            for (j, k) in ((0, 1), (0, 2), (1, 2))
-        ),
-    ))
-
-    for d in range(1, d_max + 1):
-        checks.append(_check(
-            f"pair family sum, degree {d}",
-            (
-                (
-                    graph_sum(pair_family(i, j), d, pt),
-                    pair_sum_closed(d, i, j, pt),
-                    f"(i,j)=({i},{j}) at w={pt.w}, z={pt.z}",
-                )
-                for pt in points
-                for i in range(3)
-                for j in range(3)
-                if i != j
-            ),
-        ))
-        checks.append(_check(
-            f"punctual family sum, strata (0,1), degree {d}",
-            (
-                (
-                    graph_sum(punctual_family(i, 0, 1), d, pt),
-                    _punctual_01_closed(d, *_local_values(i, pt)),
-                    f"i={i} at w={pt.w}, z={pt.z}",
-                )
-                for pt in points
-                for i in range(3)
-            ),
-        ))
-        if d >= 2:
-            checks.append(_check(
-                f"punctual family sum, strata (0,1), alternative shape, degree {d}",
-                (
-                    (
-                        graph_sum(punctual_family(i, 0, 1), d, pt),
-                        _punctual_01_recursed(d, *_local_values(i, pt)),
-                        f"i={i} at w={pt.w}, z={pt.z}",
-                    )
-                    for pt in points
-                    for i in range(3)
-                ),
-            ))
-        checks.append(_check(
-            f"punctual family sum, strata (0,2), is the (0,1) sum with axes swapped, degree {d}",
-            (
-                (
-                    graph_sum(punctual_family(i, 0, 2), d, pt),
-                    _punctual_01_closed(d, *reversed(_local_values(i, pt))),
-                    f"i={i} at w={pt.w}, z={pt.z}",
-                )
-                for pt in points
-                for i in range(3)
-            ),
-        ))
-        checks.append(_check(
-            f"punctual family sum, strata (1,2), degree {d}",
-            (
-                (
-                    graph_sum(punctual_family(i, 1, 2), d, pt),
-                    _punctual_12_closed(d, *_local_values(i, pt)),
-                    f"i={i} at w={pt.w}, z={pt.z}",
-                )
-                for pt in points
-                for i in range(3)
-            ),
-        ))
-        checks.append(_check(
-            f"punctual family term, degree {d}",
-            (
-                (
-                    punctual_family_term(d, i, pt),
-                    family_term_closed(d, i, pt),
-                    f"i={i} at w={pt.w}, z={pt.z}",
-                )
-                for pt in points
-                for i in range(3)
-            ),
-        ))
-        if d >= 2:
-            checks.append(_check(
-                f"punctual family term, alternative shape, degree {d}",
-                (
-                    (
-                        punctual_family_term(d, i, pt),
-                        family_term_recursed(d, i, pt),
-                        f"i={i} at w={pt.w}, z={pt.z}",
-                    )
-                    for pt in points
-                    for i in range(3)
-                ),
-            ))
-    return checks
+        _cases(punctual_mark_factor, _mark_factor_closed, marks, "i={} strata=({},{})", points),
+    )
+    # Degree d_max first: its recursion pass on each curve system and point
+    # then serves every lower degree.  The records still go out ascending.
+    by_degree = {
+        d: [
+            _check(f"{name}, degree {d}",
+                   _cases(partial(engine, d), partial(closed, d), indices, context, points))
+            for name, first, indices, context, engine, closed in _IDENTITIES
+            if d >= first
+        ]
+        for d in range(d_max, 0, -1)
+    }
+    return [mark_check] + [check for d in range(1, d_max + 1) for check in by_degree[d]]
 
 
 _FROZEN_INVARIANTS = {

@@ -258,19 +258,17 @@ def _flags(curves: tuple[Curve, ...], d: int, point: Specialization) -> dict[Fix
 class _Rows:
     """The rows, order by order in ``q``, of the series at one label.
 
-    ``g0`` holds the child series without the second mark and ``p0[r]`` the
-    rows of ``G0^r / r!``; ``g1[s]`` holds the child series with the second
-    mark on label ``s`` and ``p1[s][r]`` the rows of
-    ``G0^(r-1)/(r-1)! * G1``.  Each row is a polynomial in ``t``.
+    ``p0[r]`` holds the rows of ``G0^r / r!``, with ``G0`` the child series
+    without the second mark, and ``p1[s][r]`` the rows of
+    ``G0^(r-1)/(r-1)! * G1``, with ``G1`` the child series with the second
+    mark on label ``s``.  Each row is a polynomial in ``t``.
     ``powers[k]`` is the k-th power of the label's tangent Euler factor and
     ``top`` the highest order whose rows are used.
     """
 
     powers: list
     top: int
-    g0: list
     p0: list
-    g1: dict
     p1: dict
 
     @classmethod
@@ -278,8 +276,7 @@ class _Rows:
         def table() -> list:
             return [[[]] * (d + 1) for _ in range(d + 1)]
 
-        return cls([euler**k for k in range(d + 1)], top, [[]] * (d + 1), table(),
-                   {s: [[]] * (d + 1) for s in seconds}, {s: table() for s in seconds})
+        return cls([euler**k for k in range(d + 1)], top, table(), {s: table() for s in seconds})
 
 
 def _convolve(left: list, right: list, order: int, r: int, length: int) -> list:
@@ -356,15 +353,14 @@ def _recursion_pass(
             held_kids = {
                 s: [f.edge * marked[s][f.far][order - f.cost] for f in kids] for s in seconds
             }
-            at.g0[order] = _child_row(kids, plain_kids, top - order + 1)
-            at.p0[1][order] = at.g0[order]
+            at.p0[1][order] = _child_row(kids, plain_kids, top - order + 1)
             for r in range(2, order + 1):
-                row = _convolve(at.p0[r - 1], at.g0, order, r, r + top - order)
+                row = _convolve(at.p0[r - 1], at.p0[1], order, r, r + top - order)
                 at.p0[r][order] = [x / r for x in row]
             for s in seconds:
-                at.g1[s][order] = _child_row(kids, held_kids[s], top - order)
+                at.p1[s][1][order] = _child_row(kids, held_kids[s], top - order)
                 for r in range(2, order + 1):
-                    at.p1[s][r][order] = _convolve(at.p0[r - 1], at.g1[s], order, r, r - 1)
+                    at.p1[s][r][order] = _convolve(at.p0[r - 1], at.p1[s][1], order, r, r - 1)
             for parent in here:
                 if order + parent.cost > top:
                     continue

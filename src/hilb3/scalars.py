@@ -25,7 +25,6 @@ __all__ = [
     "evaluate_weight",
     "format_rational",
     "parse_rational",
-    "sample_specialization",
     "sample_specializations",
 ]
 
@@ -223,8 +222,3 @@ def sample_specializations(
         seen.add((point.w, point.z))
         points.append(point)
     return points
-
-
-def sample_specialization(seed: int = 0, forbidden: Sequence[Weight] = ()) -> Specialization:
-    """First point of the deterministic stream for this seed."""
-    return sample_specializations(1, seed=seed, forbidden=forbidden)[0]

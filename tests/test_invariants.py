@@ -133,6 +133,13 @@ def test_identity_suite_all_pass():
     assert failing == []
 
 
+@pytest.mark.parametrize("num_specs", [0, -3])
+def test_identity_suite_needs_a_specialization(num_specs):
+    # Zero points would make every record pass after no comparison at all.
+    with pytest.raises(ValueError, match="at least one specialization"):
+        verify_identities(d_max=4, num_specs=num_specs)
+
+
 def test_identity_suite_seed_independent():
     checks = verify_identities(d_max=2, num_specs=3, seed=42)
     assert all(c.passed for c in checks)

@@ -267,10 +267,11 @@ def passes(monkeypatch):
     return tops
 
 
-def test_verify_runs_one_pass_per_curve_system_and_point(passes):
-    assert all(check.passed for check in verify_identities(4, 20, seed=101))
-    assert passes == [4] * (9 * 20)
-    assert graph_sum.cache_info().misses == 15 * 4 * 20
+@pytest.mark.parametrize("d_max", [2, 4])
+def test_verify_runs_one_pass_per_curve_system_and_point(passes, d_max):
+    assert all(check.passed for check in verify_identities(d_max, 20, seed=101))
+    assert passes == [d_max] * (9 * 20)
+    assert graph_sum.cache_info().misses == 15 * d_max * 20
 
 
 @pytest.mark.parametrize(
