@@ -254,45 +254,13 @@ def _flags(curves: tuple[Curve, ...], d: int, point: Specialization) -> dict[Fix
     return flags
 
 
-@dataclass
-class _Rows:
-    """The rows, order by order in ``q``, of the series at one label.
-
-    ``p0[r]`` holds the rows of ``G0^r / r!``, with ``G0`` the child series
-    without the second mark, and ``p1[s][r]`` the rows of
-    ``G0^(r-1)/(r-1)! * G1``, with ``G1`` the child series with the second
-    mark on label ``s``.  Each row is a polynomial in ``t``.
-    ``powers[k]`` is the k-th power of the label's tangent Euler factor and
-    ``top`` the highest order whose rows are used.
-    """
-
-    powers: list
-    top: int
-    p0: list
-    p1: dict
-
-    @classmethod
-    def empty(cls, euler: Rational, top: int, d: int, seconds: list) -> "_Rows":
-        def table() -> list:
-            return [[[]] * (d + 1) for _ in range(d + 1)]
-
-        return cls([euler**k for k in range(d + 1)], top, table(), {s: table() for s in seconds})
-
-
-def _convolve(left: list, right: list, order: int, r: int, length: int) -> list:
-    """The order-``order`` row of ``left * right``, t-degrees below ``length``.
-
-    ``left`` is a power of the child series with ``r - 1`` factors, so its
-    rows below order ``r - 1`` vanish; ``right`` has no order-0 row.
-    """
-    out = [0] * length
-    for j in range(1, order - r + 2):
-        outer, inner = left[order - j], right[j]
-        for s, a in enumerate(outer[:length]):
-            if a:
-                for u in range(min(len(inner), length - s)):
-                    out[s + u] += a * inner[u]
-    return out
+def _add_product(out: list, left: list, right: list, shift: int, scale: Rational = 1) -> None:
+    """Add ``scale * t^shift * left * right`` to ``out``, t-degrees below ``len(out)``."""
+    for a, x in enumerate(left[:max(len(out) - shift, 0)]):
+        if x:
+            x *= scale
+            for b, y in enumerate(right[:len(out) - shift - a]):
+                out[shift + a + b] += x * y
 
 
 def _child_row(kids: list[_Flag], values: list, length: int) -> list:
@@ -302,12 +270,11 @@ def _child_row(kids: list[_Flag], values: list, length: int) -> list:
 
 
 def _extract(row: list, parent: _Flag, e: int) -> Rational:
-    """``e! [t^e]`` of ``row`` times the parent flag's ``(1/omega) e^(t/omega)``."""
-    total = sum(
+    """``[t^e]`` of ``row`` times the parent flag's ``(1/omega) e^(t/omega)``."""
+    return sum(
         (row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s]),
         Fraction(0),
     )
-    return math.factorial(e) * total
 
 
 def _recursion_pass(
@@ -326,41 +293,61 @@ def _recursion_pass(
     placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
     seconds = sorted({b for _, b in placements})
     firsts = {a for a, _ in placements}
+    euler = {label: tangent_euler(label, point) for label in flags}
     # Subtree sums by order, without and with the second mark, indexed by
     # the number of the flag at their root on the edge to their parent.
+    # At order 0 a subtree is a leaf: a bare one gives omega, one that
+    # holds the second mark 1.
     count = sum(len(here) for here in flags.values())
     bare = [[0] * (top + 1) for _ in range(count)]
     marked = {s: [[0] * (top + 1) for _ in range(count)] for s in seconds}
+    for label, here in flags.items():
+        for f in here:
+            bare[f.index][0] = f.weight
+            if label in marked:
+                marked[label][f.index][0] = Fraction(1)
     two_valent: dict[tuple[int, int], Rational] = {}
     # A root reads its rows up to order ``top``; any other vertex hangs from
     # a parent flag, which costs at least the cheapest flag at its label.
-    rows = {
-        label: _Rows.empty(
-            tangent_euler(label, point),
-            top if label in firsts else top - min(f.cost for f in here),
-            top,
-            seconds,
-        )
+    tops = {
+        label: top if label in firsts else top - min(f.cost for f in here)
         for label, here in flags.items()
     }
-    for order in range(top + 1):
+    # The rows at each label by order N, polynomials in t: ``t X_N``,
+    # ``t Y_(s,N)`` and ``t^N Lambda_N``; all vanish at order 0.  A root
+    # reads ``[t^-2] (Y_s Lambda)_N / E`` at every order.
+    xs = {label: [[]] for label in flags}
+    ys = {label: {s: [[]] for s in seconds} for label in flags}
+    logs = {label: [[]] for label in flags}
+    roots = {(label, s): [Fraction(0)] * (top + 1) for label in firsts for s in seconds}
+    for order in range(1, top + 1):
         for label, here in flags.items():
-            at = rows[label]
-            if order > at.top:
+            if order > tops[label]:
                 continue
             kids = [f for f in here if f.cost <= order]
             plain_kids = [f.edge * bare[f.far][order - f.cost] for f in kids]
             held_kids = {
                 s: [f.edge * marked[s][f.far][order - f.cost] for f in kids] for s in seconds
             }
-            at.p0[1][order] = _child_row(kids, plain_kids, top - order + 1)
-            for r in range(2, order + 1):
-                row = _convolve(at.p0[r - 1], at.p0[1], order, r, r + top - order)
-                at.p0[r][order] = [x / r for x in row]
+            x, log = xs[label], logs[label]
+            x.append(_child_row(kids, [euler[label] * a for a in plain_kids], top - order + 1))
+            # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k), and below
+            # t-degree -1, phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
+            log.append([0] * tops[label])
+            phi = [0] * (order - 1)
+            _add_product(log[order], [1], x[order], order - 1)
+            for k in range(1, order):
+                _add_product(log[order], log[k], x[order - k], order - k - 1, Fraction(k, order))
+                _add_product(phi, log[k], x[order - k], order - k - 1, Fraction(order - k, order))
+            held_logs = {}
             for s in seconds:
-                at.p1[s][1][order] = _child_row(kids, held_kids[s], top - order)
-                for r in range(2, order + 1):
-                    at.p1[s][r][order] = _convolve(at.p0[r - 1], at.p1[s][1], order, r, r - 1)
+                y = ys[label][s]
+                y.append(_child_row(kids, [euler[label] * b for b in held_kids[s]], top - order))
+                held_logs[s] = [0] * (order - 1)
+                for k in range(1, order):
+                    _add_product(held_logs[s], log[k], y[order - k], order - k - 1)
+                if label in firsts and order > 1:
+                    roots[label, s][order] = held_logs[s][order - 2] / euler[label]
             for parent in here:
                 if order + parent.cost > top:
                     continue
@@ -373,33 +360,24 @@ def _recursion_pass(
                             raise DegenerateSpecializationError(
                                 f"node smoothing weight vanishes at w={point.w}, z={point.z}"
                             )
-                        two_valent[pair] = at.powers[1] / node
+                        two_valent[pair] = euler[label] / node
                     nodes.append(two_valent[pair])
-                plain = parent.weight if order == 0 else Fraction(0)
-                plain += sum((a * n for a, n in zip(plain_kids, nodes) if a), Fraction(0))
-                for r in range(2, order + 1):
-                    plain += at.powers[r] * _extract(at.p0[r][order], parent, r - 2)
-                bare[parent.index][order] = plain
+                plain = sum((a * n for a, n in zip(plain_kids, nodes) if a), Fraction(0))
+                bare[parent.index][order] = plain + _extract(phi, parent, order - 2)
                 for s in seconds:
-                    held = Fraction(1) if order == 0 and label == s else Fraction(0)
-                    held += sum((b * n for b, n in zip(held_kids[s], nodes) if b), Fraction(0))
-                    for r in range(2, order + 1):
-                        held += at.powers[r] * _extract(at.p1[s][r][order], parent, r - 2)
+                    held = sum((b * n for b, n in zip(held_kids[s], nodes) if b), Fraction(0))
+                    held += _extract(held_logs[s], parent, order - 2)
                     if label == s:
-                        for r in range(1, order + 1):
-                            held += at.powers[r] * _extract(at.p0[r][order], parent, r - 1)
+                        held += _extract(log[order], parent, order - 1)
                     marked[s][parent.index][order] = held
-    totals = {}
-    for first, second in placements:
-        root = rows[first]
-        totals[first, second] = tuple(
+    return {
+        (first, second): tuple(
             sum((f.edge * marked[second][f.far][d - f.cost] for f in flags[first] if f.cost <= d),
-                Fraction(0))
-            + sum((root.powers[r - 1] * math.factorial(r - 2) * root.p1[second][r][d][r - 2]
-                   for r in range(2, d + 1)), Fraction(0))
+                roots[first, second][d])
             for d in range(1, top + 1)
         )
-    return totals
+        for first, second in placements
+    }
 
 
 @dataclass
@@ -426,20 +404,28 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     ``d``) and ``t`` (psi degree), with a nilpotent ``epsilon`` marking the
     subtrees that hold the second mark:
 
-    * a vertex with ``r`` children takes ``G^r / r!`` of its child series
-      ``G``, a sum over cover types, which is the exponential formula for
-      ``1/|Aut|``; with ``epsilon^2 = 0`` the marked part is
-      ``G0^(r-1)/(r-1)! * G1``;
-    * a vertex with ``n >= 3`` special points integrates to
-      ``(n-3)! [t^(n-3)] prod_F (1/omega_F) e^(t/omega_F)``, one factor per
-      flag;
+    * the children of a vertex are a multiset of subtrees, summed with
+      ``1/|Aut|`` by the exponential formula.  With ``E`` the label's
+      tangent Euler factor, ``pi_p = (1/omega_p) e^(t/omega_p)`` the parent
+      flag's series and ``X = E G0 / t``, ``Y_s = E G1_s / t`` the child
+      series without and with the second mark on label ``s``, a vertex with
+      ``r >= 2`` children integrates to ``[t^-2] pi_p X^r / (r(r-1))``.
+      Summed over ``r`` that is ``[t^-2] pi_p phi(X)`` with
+      ``phi' = Lambda = -log(1 - X)``; the marked part (``epsilon^2 = 0``)
+      is ``[t^-2] pi_p Y_s Lambda``, plus ``[t^-1] pi_p Lambda`` when the
+      second mark sits on the vertex, and at the root ``[t^-2] Y_s Lambda
+      / E``;
+    * order by order in ``q``, ``N Lambda_N = N X_N + sum_k k Lambda_k
+      X_(N-k)`` and, below t-degree -1, ``N phi_N = sum_k (N-k) Lambda_k
+      X_(N-k)``, so no row depends on ``r``;
     * a bare leaf gives ``omega``, a marked leaf ``1`` and a two-valent node
-      ``1/(omega_p + omega_c)``.
+      ``E/(omega_p + omega_c)``.
 
     A row at order ``N`` keeps only the t-degrees that can still reach an
-    extraction at an order up to the pass's degree.  The only forms inverted are flag weights,
-    node smoothings and edge Euler factors, all in :func:`forbidden_weights`;
-    each of them, and every tangent weight, raises
+    extraction at an order up to the pass's degree.  The only forms inverted
+    are flag weights, node smoothings, edge Euler factors and the root's
+    tangent Euler factor ``E``, all in :func:`forbidden_weights`; each of
+    them, and every tangent weight, raises
     :class:`DegenerateSpecializationError` when it vanishes.
     :func:`graph_contribution` over :func:`~hilb3.graphs.enumerate_graphs`
     gives the same value one graph at a time.

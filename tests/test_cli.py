@@ -7,6 +7,8 @@ import pytest
 from hilb3 import cli
 from hilb3.cli import main
 from hilb3.invariants import IdentityCheck
+from hilb3.localization import forbidden_weights
+from hilb3.scalars import sample_specializations
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +183,23 @@ def test_invariant_zero_points_is_usage_error(capsys):
     code, err = _usage_error(capsys, "invariant", "--d", "1", "--points", "0")
     assert code == 2
     assert "--points must be a positive integer" in err
+
+
+def test_invariant_points_past_the_sampler_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "invariant", "--d", "1", "--points", "10001")
+    assert code == 2
+    assert "--points must be at most 1000" in err
+
+
+def test_verify_specs_past_the_sampler_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "verify", "--dmax", "1", "--specs", "10001")
+    assert code == 2
+    assert "--specs must be at most 1000" in err
+
+
+def test_sampler_meets_the_point_bound():
+    forbidden = forbidden_weights(4)
+    assert len(sample_specializations(cli.MAX_POINTS, seed=0, forbidden=forbidden)) == cli.MAX_POINTS
 
 
 def test_verify_zero_specs_is_usage_error(capsys):

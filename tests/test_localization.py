@@ -237,6 +237,101 @@ def test_recursion_matches_enumeration_oracle():
                 assert _stored_pass(family.curves, point).top == 5
 
 
+# Graph sums in degrees 6, 7 and 8, past the enumeration oracle's reach,
+# at the first point of sample_specializations(1, seed=29,
+# forbidden=forbidden_weights(8)), as computed by the power-table form of
+# the recursion, which summed each vertex's children through G^r / r!.
+PINNED_SUMS = {
+    "pair(0,1)": (
+        "90662538375/6659013826551488",
+        "271987615125/23306548392930208",
+        "271987615125/26636055306205952",
+    ),
+    "pair(0,2)": (
+        "12251694375/7750655437461568",
+        "36755083125/27127294031115488",
+        "36755083125/31002621749846272",
+    ),
+    "pair(1,0)": (
+        "184643875/7809597976984",
+        "553931625/27333592919444",
+        "553931625/31238391907936",
+    ),
+    "pair(1,2)": (
+        "-923219375/375372807680608",
+        "-2769658125/1313804826882128",
+        "-2769658125/1501491230722432",
+    ),
+    "pair(2,0)": (
+        "-2346500225/6709654599944",
+        "-7039500675/23483791099804",
+        "-7039500675/26838618399776",
+    ),
+    "pair(2,1)": (
+        "86820508325/277080384324448",
+        "260461524975/969781345135568",
+        "260461524975/1108321537297792",
+    ),
+    "punctual(0;0,1)": (
+        "-1361299375/901316593766342",
+        "-4083898125/10835011619780558",
+        "17050274671875/13361117185992253808",
+    ),
+    "punctual(0;0,2)": (
+        "-10073615375/774370594644322",
+        "-30220846125/3156406422746122",
+        "-37564511733375/6684366972969787504",
+    ),
+    "punctual(0;1,2)": (
+        "50368076875/74441133885152528",
+        "0",
+        "-151104230625/148882267770305056",
+    ),
+    "punctual(1;0,1)": (
+        "1263887324375/480590304581994912",
+        "1263887324375/2684641188946191216",
+        "-3216593240534375/1187378445853915429248",
+    ),
+    "punctual(1;0,2)": (
+        "-252777464875/9998638669679976",
+        "-252777464875/9745030457335152",
+        "-207530298662375/6879063404739823488",
+    ),
+    "punctual(1;1,2)": (
+        "-34159116875/23275519526140272",
+        "0",
+        "34159116875/15517013017426848",
+    ),
+    "punctual(2;0,1)": (
+        "2170512708125/279847241577966816",
+        "-2170512708125/910286914572947184",
+        "-7203931678266875/402606898216834925952",
+    ),
+    "punctual(2;0,2)": (
+        "-58662505625/6776655577092648",
+        "58662505625/11342576433947472",
+        "123836549374375/4662339037039741824",
+    ),
+    "punctual(2;1,2)": (
+        "-434102541625/11644394090215536",
+        "0",
+        "434102541625/7762929393477024",
+    ),
+}
+
+
+def test_graph_sums_past_the_oracle_are_pinned():
+    (point,) = sample_specializations(1, seed=29, forbidden=forbidden_weights(8))
+    assert sorted(PINNED_SUMS) == sorted(family.name for family in FAMILIES)
+    # Ascending from cold, each degree runs its own pass.
+    _clear_sums()
+    for n, d in enumerate((6, 7, 8)):
+        for family in FAMILIES:
+            assert graph_sum(family, d, point) == Fraction(PINNED_SUMS[family.name][n]), (
+                f"{family.name} degree {d}"
+            )
+
+
 def test_failed_pass_is_not_stored():
     # 6w - z vanishes at (w, z) = (-1, -6).  It is a wall of degree 3 only,
     # and the degree-3 recursion on pair(1,0) inverts it.
