@@ -12,6 +12,10 @@ vertices; rooting the tree at the first mark therefore turns graph
 isomorphism into rooted-tree isomorphism, and canonical rooted growth
 (children generated as non-increasing key sequences) is exhaustive and
 duplicate-free.
+
+Each graph is laid out, validated and given its symmetry order in time
+linear in its size.  Within one ``enumerate_graphs`` call, equal edge records
+of different graphs are one shared (frozen) object.
 """
 
 from __future__ import annotations
@@ -55,20 +59,24 @@ class StableGraph:
     def degree(self) -> int:
         return sum(e.curve.beta * e.degree for e in self.edges)
 
-    def incident_edges(self, vertex: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if vertex in (e.head, e.tail))
-
     def mark_count(self, vertex: int) -> int:
         return (self.marks[0] == vertex) + (self.marks[1] == vertex)
 
 
 @dataclass(frozen=True)
 class Family:
-    """A connected system of curves with two chosen mark labels."""
+    """A connected system of curves with two chosen mark labels.
+
+    Equality compares every field; the hash reads only the name and the mark
+    labels, so the enumeration caches keyed by a family never hash curves.
+    """
 
     name: str
     curves: tuple[Curve, ...]
     mark_labels: tuple[FixedPoint, FixedPoint]
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.mark_labels))
 
 
 def pair_family(i: int, j: int) -> Family:
@@ -85,8 +93,7 @@ def punctual_family(i: int, j: int, k: int) -> Family:
     curves = tuple(
         punctual_curve(i, a, b) for (a, b) in ((0, 1), (0, 2), (1, 2))
     )
-    labels = (FixedPoint.punctual(i, j), FixedPoint.punctual(i, k))
-    return Family(f"punctual({i};{j},{k})", curves, labels)
+    return Family(f"punctual({i};{j},{k})", curves, punctual_curve(i, j, k).endpoints)
 
 
 # A rooted subtree is encoded as (label, carries_second_mark, children) with
@@ -160,27 +167,38 @@ def _child_multisets(family: Family, label: FixedPoint, budget: int, bound) -> t
     return tuple(results)
 
 
-def _materialize(family: Family, encoding: tuple) -> StableGraph:
+def _materialize(
+    encoding: tuple, curves: dict[str, Curve], shared: dict[tuple, Edge]
+) -> StableGraph:
+    """Lay an encoding out as a graph, vertices in depth-first preorder.
+
+    ``curves`` maps the family's curve names to curves; ``shared`` holds the
+    edge records already built in this enumeration, so equal edges of
+    different graphs are one object.
+    """
     vertices: list[FixedPoint] = []
     edges: list[Edge] = []
-    mark2 = [-1]
+    second = -1
 
-    def walk(node: tuple, parent: int | None, parent_curve: str | None, parent_degree: int) -> None:
+    def walk(node: tuple) -> None:
+        nonlocal second
         label, marked, children = node
         index = len(vertices)
         vertices.append(label)
         if marked:
-            mark2[0] = index
-        if parent is not None:
-            curve = next(c for c in family.curves if c.name == parent_curve)
-            edges.append(Edge(parent, index, curve, parent_degree))
+            second = index
         for curve_name, degree, child in children:
-            walk(child, index, curve_name, degree)
+            key = (index, len(vertices), curve_name, degree)
+            edge = shared.get(key)
+            if edge is None:
+                edge = shared[key] = Edge(index, len(vertices), curves[curve_name], degree)
+            edges.append(edge)
+            walk(child)
 
-    walk(encoding, None, None, 0)
-    if mark2[0] < 0:
+    walk(encoding)
+    if second < 0:
         raise ValueError("encoding carries no second mark")
-    return StableGraph(tuple(vertices), tuple(edges), (0, mark2[0]))
+    return StableGraph(tuple(vertices), tuple(edges), (0, second))
 
 
 @lru_cache(maxsize=None)
@@ -192,24 +210,26 @@ def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
     """
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
-    root_label = family.mark_labels[0]
+    curves = {curve.name: curve for curve in family.curves}
+    shared: dict[tuple, Edge] = {}
     graphs = [
-        _materialize(family, encoding)
-        for encoding in _subtrees(family, root_label, d, True)
+        _materialize(encoding, curves, shared)
+        for encoding in _subtrees(family, family.mark_labels[0], d, True)
     ]
     for graph in graphs:
         validate_graph(family, graph)
     return tuple(graphs)
 
 
-def _rooted_encoding_and_aut(graph: StableGraph, vertex: int, parent: int | None) -> tuple[tuple, int]:
+def _rooted_encoding_and_aut(
+    graph: StableGraph, around: list[list[tuple[int, Edge]]], vertex: int, parent: int
+) -> tuple[tuple, int]:
     children = []
     aut = 1
-    for edge in graph.incident_edges(vertex):
-        child = edge.tail if edge.head == vertex else edge.head
+    for child, edge in around[vertex]:
         if child == parent:
             continue
-        child_enc, child_aut = _rooted_encoding_and_aut(graph, child, vertex)
+        child_enc, child_aut = _rooted_encoding_and_aut(graph, around, child, vertex)
         children.append((edge.curve.name, edge.degree, child_enc))
         aut *= child_aut
     children.sort()
@@ -227,42 +247,57 @@ def automorphism_order(graph: StableGraph) -> int:
 
     ``Aut`` is computed by rooting at the first mark: every automorphism
     fixes both marked vertices, so rooted and unrooted automorphisms agree.
+    The neighbour lists are built once, so any edge order and orientation
+    gives the same result in time linear in the graph.
     """
-    _, aut = _rooted_encoding_and_aut(graph, graph.marks[0], None)
-    degree_factor = math.prod(e.degree for e in graph.edges)
-    return aut * degree_factor
+    around: list[list[tuple[int, Edge]]] = [[] for _ in graph.vertices]
+    for edge in graph.edges:
+        around[edge.head].append((edge.tail, edge))
+        around[edge.tail].append((edge.head, edge))
+    _, aut = _rooted_encoding_and_aut(graph, around, graph.marks[0], -1)
+    return aut * math.prod(e.degree for e in graph.edges)
 
 
 def validate_graph(family: Family, graph: StableGraph) -> None:
-    """Raise ``ValueError`` unless the graph is a valid member of the family."""
-    n = len(graph.vertices)
+    """Raise ``ValueError`` unless the graph is a valid member of the family.
+
+    Every check is one pass over the vertices or the edges.
+    """
+    labels = graph.vertices
+    n = len(labels)
     if len(graph.edges) != n - 1:
         raise ValueError("graph is not a tree: wrong edge count")
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     for edge in graph.edges:
+        if not (0 <= edge.head < n and 0 <= edge.tail < n):
+            raise ValueError(f"edge ({edge.head}, {edge.tail}) leaves the {n} vertices")
         adjacency[edge.head].append(edge.tail)
         adjacency[edge.tail].append(edge.head)
-    seen = {0}
+    seen = [False] * n
+    seen[0] = True
     stack = [0]
     while stack:
         for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
+            if not seen[nxt]:
+                seen[nxt] = True
                 stack.append(nxt)
-    if len(seen) != n:
+    if not all(seen):
         raise ValueError("graph is not connected")
     for edge in graph.edges:
-        if edge.curve not in family.curves:
-            raise ValueError(f"edge curve {edge.curve} not in family {family.name}")
+        curve = edge.curve
+        if curve not in family.curves:
+            raise ValueError(f"edge curve {curve} not in family {family.name}")
         if edge.degree < 1:
             raise ValueError("edge degree must be positive")
-        got = {graph.vertices[edge.head], graph.vertices[edge.tail]}
-        if got != set(edge.curve.endpoints):
-            raise ValueError(f"edge endpoints {got} do not match curve {edge.curve}")
+        ends = (labels[edge.head], labels[edge.tail])
+        if ends != curve.endpoints and ends[::-1] != curve.endpoints:
+            raise ValueError(f"edge endpoints {ends} do not match curve {curve}")
     m1, m2 = graph.marks
+    if not (0 <= m1 < n and 0 <= m2 < n):
+        raise ValueError(f"marks ({m1}, {m2}) leave the {n} vertices")
     if m1 == m2:
         raise ValueError("marks must sit on distinct vertices")
-    l1, l2 = graph.vertices[m1], graph.vertices[m2]
+    l1, l2 = labels[m1], labels[m2]
     if (l1, l2) != family.mark_labels:
         raise ValueError(
             f"mark labels ({l1}, {l2}) do not match family {family.mark_labels}"

@@ -25,7 +25,7 @@ from .geometry import (
     tangent_character,
     tangent_euler,
 )
-from .graphs import Family, StableGraph, automorphism_order
+from .graphs import Edge, Family, StableGraph, automorphism_order
 from .scalars import (
     DegenerateSpecializationError,
     Rational,
@@ -178,11 +178,14 @@ def psi_vertex_integral(weights: Sequence[Rational], total_points: int) -> Ratio
 def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
     """Exact localization contribution of one stable graph."""
     value = Fraction(1, automorphism_order(graph))
+    around: list[list[Edge]] = [[] for _ in graph.vertices]
     for edge in graph.edges:
         value /= edge_euler(edge.curve, edge.degree, point)
+        around[edge.head].append(edge)
+        around[edge.tail].append(edge)
     for vertex, label in enumerate(graph.vertices):
         omegas = []
-        for edge in graph.incident_edges(vertex):
+        for edge in around[vertex]:
             tangent = evaluate_weight(edge.curve.tangent_at(label), point)
             if tangent == 0:
                 raise DegenerateSpecializationError(

@@ -9,6 +9,7 @@ evaluated at sampled nondegenerate rational points and compared exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,10 +187,32 @@ _POOL = _primes_up_to(100)
 _MAX_RESAMPLES = 10_000
 
 
-def _admissible(point: Specialization, forbidden: Sequence[Weight]) -> bool:
-    if point.w == 0 or point.z == 0 or point.w == point.z:
+def _primitive(a: int, b: int) -> tuple[int, int]:
+    """``(a, b)`` divided by its gcd and signed so its first nonzero entry is positive."""
+    g = math.gcd(a, b)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return (a // g, b // g) if g else (0, 0)
+
+
+def _walls(forbidden: Sequence[Weight]) -> frozenset[tuple[int, int]]:
+    """Each form ``a*w + b*z``, denominators cleared, as a primitive integer pair."""
+    return frozenset(
+        _primitive(form.a.numerator * form.b.denominator, form.b.numerator * form.a.denominator)
+        for form in forbidden
+    )
+
+
+def _admissible(w: Fraction, z: Fraction, walls: frozenset[tuple[int, int]]) -> bool:
+    """Whether ``(w, z)`` is off both axes, the diagonal and every wall.
+
+    Off the axes, ``a*w + b*z`` vanishes exactly when ``(a, b)`` is
+    proportional to ``(z, -w)``, so one integer lookup tests every wall.  The
+    zero form, ``(0, 0)``, vanishes everywhere.
+    """
+    if w == 0 or z == 0 or w == z or (0, 0) in walls:
         return False
-    return all(evaluate_weight(w, point) != 0 for w in forbidden)
+    return _primitive(z.numerator * w.denominator, -w.numerator * z.denominator) not in walls
 
 
 def sample_specializations(
@@ -202,9 +225,11 @@ def sample_specializations(
     Numerators and denominators come from the primes up to 100 (signs vary),
     so coordinates stay small and exact arithmetic stays fast.  Points where
     any forbidden weight vanishes are rejected and redrawn, up to a fixed
-    resample budget.
+    resample budget.  The forms are reduced to integer pairs once per call, so
+    a draw costs one lookup however many forms there are.
     """
     rng = random.Random(seed)
+    walls = _walls(forbidden)
     points: list[Specialization] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     attempts = 0
@@ -216,9 +241,8 @@ def sample_specializations(
             )
         w = Fraction(rng.choice(_POOL) * rng.choice((1, -1)), rng.choice(_POOL))
         z = Fraction(rng.choice(_POOL) * rng.choice((1, -1)), rng.choice(_POOL))
-        point = Specialization(w, z)
-        if (point.w, point.z) in seen or not _admissible(point, forbidden):
+        if (w, z) in seen or not _admissible(w, z, walls):
             continue
-        seen.add((point.w, point.z))
-        points.append(point)
+        seen.add((w, z))
+        points.append(Specialization(w, z))
     return points

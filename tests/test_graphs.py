@@ -10,11 +10,16 @@ where the enumerator's recursion could plausibly go wrong.
 import heapq
 import itertools
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hilb3.geometry import pair_curve
 from hilb3.graphs import (
+    Edge,
     Family,
+    StableGraph,
     all_pair_families,
     all_punctual_families,
     automorphism_order,
@@ -23,6 +28,12 @@ from hilb3.graphs import (
     pair_family,
     punctual_family,
     validate_graph,
+)
+from hilb3.localization import graph_contribution
+from hilb3.scalars import Specialization
+
+FAMILIES = all_pair_families() + tuple(
+    family for chart in range(3) for family in all_punctual_families(chart)
 )
 
 
@@ -235,6 +246,132 @@ def test_graph_shape_properties(family, d):
         key = (graph.vertices, graph.edges, graph.marks)
         assert key not in seen
         seen.add(key)
+
+
+# Per family at d = 5: (graph count, sum of automorphism orders), captured
+# from the enumerator before its edge records were shared.
+DEGREE_FIVE = {
+    **{f"pair({i},{j})": (142, 453) for i in range(3) for j in range(3) if i != j},
+    **{f"punctual({i};{j},{k})": (429, 1088) for i in range(3) for j, k in ((0, 1), (0, 2))},
+    **{f"punctual({i};1,2)": (183, 385) for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_degree_five_counts_and_orders_are_pinned(family):
+    graphs = enumerate_graphs(family, 5)
+    assert (len(graphs), sum(automorphism_order(g) for g in graphs)) == DEGREE_FIVE[family.name]
+
+
+def test_equal_families_hash_equal_and_share_the_cache():
+    first, second = pair_family(0, 1), pair_family(0, 1)
+    assert first == second and hash(first) == hash(second)
+    assert first != Family(first.name, first.curves, first.mark_labels[::-1])
+    enumerate_graphs(first, 3)
+    hits = enumerate_graphs.cache_info().hits
+    assert enumerate_graphs(second, 3) is enumerate_graphs(first, 3)
+    assert enumerate_graphs.cache_info().hits == hits + 2
+
+
+def test_enumerated_graphs_share_edge_records():
+    graphs = enumerate_graphs(pair_family(0, 1), 4)
+    edges = [e for g in graphs for e in g.edges]
+    assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
+
+
+@pytest.mark.parametrize(
+    "family", [pair_family(0, 1), punctual_family(0, 0, 1), punctual_family(1, 1, 2)],
+    ids=lambda f: f.name,
+)
+def test_symmetry_order_ignores_edge_order_and_orientation(family):
+    point = Specialization(Fraction(2, 7), Fraction(-5, 3))
+    for graph in enumerate_graphs(family, 4):
+        flipped = StableGraph(
+            graph.vertices,
+            tuple(Edge(e.tail, e.head, e.curve, e.degree) for e in reversed(graph.edges)),
+            graph.marks,
+        )
+        validate_graph(family, flipped)
+        assert automorphism_order(flipped) == automorphism_order(graph)
+        assert graph_contribution(flipped, point) == graph_contribution(graph, point)
+
+
+def _one_edge_graph():
+    """The degree-2 pair graph with a single doubled edge, and its family."""
+    family = pair_family(0, 1)
+    (graph,) = [g for g in enumerate_graphs(family, 2) if len(g.edges) == 1]
+    return family, graph
+
+
+def test_validate_rejects_a_wrong_edge_count():
+    family, graph = _one_edge_graph()
+    with pytest.raises(ValueError, match="wrong edge count"):
+        validate_graph(family, StableGraph(graph.vertices, graph.edges * 2, graph.marks))
+
+
+def test_validate_rejects_an_edge_off_the_vertices():
+    family, graph = _one_edge_graph()
+    (edge,) = graph.edges
+    bad = StableGraph(graph.vertices, (Edge(0, -1, edge.curve, edge.degree),), graph.marks)
+    with pytest.raises(ValueError, match="leaves the 2 vertices"):
+        validate_graph(family, bad)
+
+
+def test_validate_rejects_a_disconnected_graph():
+    family, graph = _one_edge_graph()
+    (edge,) = graph.edges
+    bad = StableGraph(graph.vertices + graph.vertices[:1], (edge, edge), graph.marks)
+    with pytest.raises(ValueError, match="not connected"):
+        validate_graph(family, bad)
+
+
+def test_validate_rejects_a_curve_outside_the_family():
+    family, graph = _one_edge_graph()
+    (edge,) = graph.edges
+    bad = StableGraph(graph.vertices, (Edge(0, 1, pair_curve(1, 0), edge.degree),), graph.marks)
+    with pytest.raises(ValueError, match="not in family"):
+        validate_graph(family, bad)
+
+
+def test_validate_rejects_a_nonpositive_degree():
+    family, graph = _one_edge_graph()
+    (edge,) = graph.edges
+    bad = StableGraph(graph.vertices, (Edge(0, 1, edge.curve, 0),), graph.marks)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        validate_graph(family, bad)
+
+
+def test_validate_rejects_endpoints_off_the_curve():
+    family, graph = _one_edge_graph()
+    bad = StableGraph(graph.vertices[:1] * 2, graph.edges, graph.marks)
+    with pytest.raises(ValueError, match="do not match curve"):
+        validate_graph(family, bad)
+
+
+def test_validate_rejects_both_marks_on_one_vertex():
+    family, graph = _one_edge_graph()
+    with pytest.raises(ValueError, match="distinct vertices"):
+        validate_graph(family, StableGraph(graph.vertices, graph.edges, (0, 0)))
+
+
+def test_validate_rejects_a_mark_off_the_vertices():
+    # A negative index would otherwise read a label from the end.
+    family, graph = _one_edge_graph()
+    with pytest.raises(ValueError, match="leave the 2 vertices"):
+        validate_graph(family, StableGraph(graph.vertices, graph.edges, (0, -1)))
+
+
+def test_validate_rejects_wrong_mark_labels():
+    family, graph = _one_edge_graph()
+    with pytest.raises(ValueError, match="do not match family"):
+        validate_graph(family, StableGraph(graph.vertices, graph.edges, (1, 0)))
+
+
+def test_validate_rejects_mark_labels_out_of_order():
+    family, graph = _one_edge_graph()
+    swapped = Family(family.name, family.curves, family.mark_labels[::-1])
+    with pytest.raises(ValueError, match="smaller label"):
+        validate_graph(swapped, StableGraph(graph.vertices, graph.edges, (1, 0)))
 
 
 def test_degree_must_be_positive():

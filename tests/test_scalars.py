@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hilb3 import scalars
+from hilb3.localization import forbidden_weights
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
@@ -124,3 +126,51 @@ def test_sampling_avoids_forbidden_walls():
     for point in sample_specializations(8, seed=2, forbidden=forbidden):
         for weight in forbidden:
             assert evaluate_weight(weight, point) != 0
+
+
+@pytest.mark.parametrize("d, count", [(4, 200), (8, 100)])
+def test_sampler_decides_as_fraction_arithmetic_does(monkeypatch, d, count):
+    # Every draw's accept/reject decision, and so every drawn point, must be
+    # the one that evaluating each form with Fractions gives.  Walls are rare
+    # among the draws: seeds 7 and 11 meet at least one at both sizes.
+    forbidden = forbidden_weights(d)
+    seeds = (0, 7, 11)
+    drawn = [sample_specializations(count, seed=seed, forbidden=forbidden) for seed in seeds]
+    integer_test = scalars._admissible
+    decisions = []
+
+    def by_fractions(w, z, walls):
+        point = Specialization(w, z)
+        keep = w != 0 and z != 0 and w != z and all(
+            evaluate_weight(form, point) != 0 for form in forbidden
+        )
+        assert integer_test(w, z, walls) == keep, (w, z)
+        decisions.append(keep)
+        return keep
+
+    monkeypatch.setattr(scalars, "_admissible", by_fractions)
+    for seed, points in zip(seeds, drawn):
+        assert sample_specializations(count, seed=seed, forbidden=forbidden) == points
+    assert decisions.count(True) == count * len(seeds)
+    assert False in decisions
+
+
+def test_every_forbidden_form_rejects_its_own_zeros():
+    forbidden = forbidden_weights(8)
+    walls = scalars._walls(forbidden)
+    for form in forbidden:
+        w, z = form.b * 7, -form.a * 7
+        assert evaluate_weight(form, Specialization(w, z)) == 0
+        assert not scalars._admissible(w, z, walls)
+
+
+def test_sampler_walls_cover_axes_scaling_and_the_zero_form():
+    walls = scalars._walls((Weight(Fraction(1, 2), Fraction(-3, 4)), Weight(0, -5)))
+    assert walls == {(2, -3), (0, 1)}
+    # w = 3, z = 2 lies on w/2 - 3z/4 = 0; z = 0 is excluded before the walls.
+    assert not scalars._admissible(Fraction(3), Fraction(2), walls)
+    assert scalars._admissible(Fraction(-3), Fraction(2), walls)
+    assert not scalars._admissible(Fraction(3), Fraction(0), walls)
+    assert not scalars._admissible(Fraction(3), Fraction(2), scalars._walls((ZERO_WEIGHT,)))
+    with pytest.raises(DegenerateSpecializationError):
+        sample_specializations(1, seed=0, forbidden=(ZERO_WEIGHT,))
