@@ -31,6 +31,7 @@ from .geometry import curve_catalog, fixed_points
 from .invariants import (
     ConsistencyError,
     IdentityCheck,
+    RECORDED_TOP_DEGREE,
     reproduce,
     two_point_pairing,
     verify_identities,
@@ -45,6 +46,9 @@ SCHEMA = "1"
 # 1012 distinct draws at seed 0, far inside its budget of 10 000.
 MAX_POINTS = 1000
 
+# Every bounded option takes integers from 1 up to its most, if it has one.
+_BOUNDS = {"d": None, "points": MAX_POINTS, "specs": MAX_POINTS, "dmax": RECORDED_TOP_DEGREE}
+
 
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
@@ -56,26 +60,28 @@ def _emit_json(payload: dict) -> None:
 
 
 def _resolve_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Family:
-    kind = {"pair": "pair", "S": "pair", "punctual": "punctual", "T": "punctual"}.get(
-        args.family
-    )
-    if kind is None:
+    """The family that ``--family``, ``--i``, ``--j`` and ``--k`` name.
+
+    The library rejects charts and strata that name no family; that
+    ``ValueError`` becomes the usage error.
+    """
+    kind = {"S": "pair", "T": "punctual"}.get(args.family, args.family)
+    if kind not in ("pair", "punctual"):
         parser.error(f"unknown family {args.family!r}; use pair or punctual")
     if kind == "pair":
         if args.i is None or args.j is None:
             parser.error("pair family needs --i and --j chart indices")
         if args.k is not None:
             parser.error("pair family takes no --k")
-        if not (0 <= args.i <= 2 and 0 <= args.j <= 2) or args.i == args.j:
-            parser.error("pair family needs two distinct charts in {0,1,2}")
-        return pair_family(args.i, args.j)
-    if args.i is None or args.j is None or args.k is None:
-        parser.error("punctual family needs --i (chart) and --j --k (strata)")
-    if not 0 <= args.i <= 2:
-        parser.error("chart index must be in {0,1,2}")
-    if not 0 <= args.j < args.k <= 2:
-        parser.error("strata must satisfy 0 <= j < k <= 2")
-    return punctual_family(args.i, args.j, args.k)
+        make, indices = pair_family, (args.i, args.j)
+    else:
+        if args.i is None or args.j is None or args.k is None:
+            parser.error("punctual family needs --i (chart) and --j --k (strata)")
+        make, indices = punctual_family, (args.i, args.j, args.k)
+    try:
+        return make(*indices)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -112,13 +118,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family = _resolve_family(parser, args)
-    graphs = enumerate_graphs(family, args.d)
+def _cmd_graphs(args: argparse.Namespace) -> int:
+    graphs = enumerate_graphs(args.family, args.d)
     if args.json:
         _emit_json(
             {
-                "family": family.name,
+                "family": args.family.name,
                 "d": args.d,
                 "count": len(graphs),
                 "graphs": [
@@ -141,7 +146,7 @@ def _cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             }
         )
         return 0
-    _emit(f"family {family.name}, degree {args.d}: {len(graphs)} stable graphs")
+    _emit(f"family {args.family.name}, degree {args.d}: {len(graphs)} stable graphs")
     for n, g in enumerate(graphs, start=1):
         edges = "; ".join(
             f"v{e.head} --[{e.curve.name} x{e.degree}]-- v{e.tail}" for e in g.edges
@@ -154,15 +159,14 @@ def _cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_graphsum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family = _resolve_family(parser, args)
+def _cmd_graphsum(args: argparse.Namespace) -> int:
     point = sample_specializations(1, seed=args.seed, forbidden=forbidden_weights(args.d))[0]
-    value = graph_sum(family, args.d, point)
+    value = graph_sum(args.family, args.d, point)
     w, z = point.as_strings()
     if args.json:
         _emit_json(
             {
-                "family": family.name,
+                "family": args.family.name,
                 "d": args.d,
                 "seed": args.seed,
                 "specialization": {"w": w, "z": z},
@@ -170,18 +174,14 @@ def _cmd_graphsum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             }
         )
         return 0
-    _emit(f"family {family.name}, degree {args.d}")
+    _emit(f"family {args.family.name}, degree {args.d}")
     _emit(f"specialization: w = {w}, z = {z} (seed {args.seed})")
     _emit(f"graph sum = {format_rational(value)}")
     return 0
 
 
 def _cmd_invariant(args: argparse.Namespace) -> int:
-    try:
-        result = two_point_pairing(args.d, num_points=args.points, seed=args.seed)
-    except ConsistencyError as exc:
-        _emit(f"FAIL: {exc}")
-        return 1
+    result = two_point_pairing(args.d, num_points=args.points, seed=args.seed)
     rows = [
         {
             "w": pt.as_strings()[0],
@@ -246,15 +246,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _one_point_rows(dmax: int) -> list[dict]:
-    rows = []
-    for mono in _basis_monomials(4):
-        rows.append(
-            {
-                "class": format_monomial(mono),
-                "values": [format_rational(one_point(mono, d)) for d in range(1, dmax + 1)],
-            }
-        )
-    return rows
+    return [
+        {
+            "class": format_monomial(mono),
+            "values": [format_rational(one_point(mono, d)) for d in range(1, dmax + 1)],
+        }
+        for mono in _basis_monomials(4)
+    ]
 
 
 def _nonzero_rows(tables: list[dict]) -> tuple[list[dict], int]:
@@ -361,79 +359,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", help="list torus-fixed points and invariant curves")
-    p.add_argument("--json", action="store_true")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, help="pair or punctual")
+    family.add_argument("--i", type=int, default=None, help="principal chart")
+    family.add_argument("--j", type=int, default=None, help="second chart, or first stratum")
+    family.add_argument("--k", type=int, default=None, help="second stratum (punctual only)")
+    family.add_argument("--d", type=int, required=True, help="total degree")
+    degrees = argparse.ArgumentParser(add_help=False)
+    degrees.add_argument("--dmax", type=int, default=RECORDED_TOP_DEGREE, help="top degree")
 
-    for name, helptext in (
-        ("graphs", "enumerate the stable graphs of one family and degree"),
-        ("graphsum", "evaluate one family's graph sum at a sampled specialization"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--family", required=True, help="pair or punctual")
-        p.add_argument("--i", type=int, default=None, help="principal chart")
-        p.add_argument("--j", type=int, default=None, help="second chart, or first stratum")
-        p.add_argument("--k", type=int, default=None, help="second stratum (punctual only)")
-        p.add_argument("--d", type=int, required=True, help="total degree")
-        p.add_argument("--json", action="store_true")
-        if name == "graphsum":
-            p.add_argument("--seed", type=int, default=0)
+    def command(name, handler, helptext, *parents):
+        p = sub.add_parser(name, help=helptext, parents=[*parents, json_out])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("invariant", help="compute the two-point invariant in one degree")
+    command("catalog", _cmd_catalog, "list torus-fixed points and invariant curves")
+    command("graphs", _cmd_graphs, "enumerate the stable graphs of one family and degree", family)
+    command(
+        "graphsum",
+        _cmd_graphsum,
+        "evaluate one family's graph sum at a sampled specialization",
+        family,
+        seeded,
+    )
+    p = command("invariant", _cmd_invariant, "compute the two-point invariant in one degree", seeded)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--points", type=int, default=3, help="specializations to compare")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="check every closed-form identity pointwise")
-    p.add_argument("--dmax", type=int, default=4, choices=(1, 2, 3, 4))
+    p = command("verify", _cmd_verify, "check every closed-form identity pointwise", degrees, seeded)
     p.add_argument("--specs", type=int, default=5, help="specializations per identity")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("table", help="regenerate the count tables from the engine")
+    p = command("table", _cmd_table, "regenerate the count tables from the engine", degrees, seeded)
     p.add_argument("--kind", choices=("one", "two", "three", "all"), default="all")
-    p.add_argument("--dmax", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--markdown", action="store_true")
-
-    p = sub.add_parser("reproduce", help="re-derive every recorded number and report")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-
+    command("reproduce", _cmd_reproduce, "re-derive every recorded number and report", seeded)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "catalog":
-        return _cmd_catalog(args)
-    if args.command in ("graphs", "graphsum", "invariant") and args.d < 1:
-        parser.error("--d must be a positive integer")
-    if args.command == "graphs":
-        return _cmd_graphs(parser, args)
-    if args.command == "graphsum":
-        return _cmd_graphsum(parser, args)
-    if args.command == "invariant":
-        if args.points < 1:
-            parser.error("--points must be a positive integer")
-        if args.points > MAX_POINTS:
-            parser.error(f"--points must be at most {MAX_POINTS}")
-        return _cmd_invariant(args)
-    if args.command == "verify":
-        if args.specs < 1:
-            parser.error("--specs must be a positive integer")
-        if args.specs > MAX_POINTS:
-            parser.error(f"--specs must be at most {MAX_POINTS}")
-        return _cmd_verify(args)
-    if args.command == "table":
-        if not 1 <= args.dmax:
-            parser.error("--dmax must be a positive integer")
-        if args.dmax > 4:
-            parser.error("tables are recorded for degrees up to 4")
-        return _cmd_table(args)
-    return _cmd_reproduce(args)
+    for name, most in _BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if value < 1:
+            parser.error(f"--{name} must be a positive integer")
+        if most is not None and value > most:
+            parser.error(f"--{name} must be at most {most}")
+    if "family" in args:
+        args.family = _resolve_family(parser, args)
+    try:
+        return args.handler(args)
+    except ConsistencyError as exc:
+        _emit(f"FAIL: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ def hyperplane_weight(chart: int) -> Weight:
 def chart_weight(chart: int, a: int | Fraction, b: int | Fraction) -> Weight:
     """The global weight of the local character ``a*w_i + b*z_i``."""
     wi, zi = torus_weights(chart)
-    return wi.scaled(Fraction(a)) + zi.scaled(Fraction(b))
+    return wi.scaled(a) + zi.scaled(b)
 
 
 @dataclass(frozen=True, order=True)
@@ -87,12 +87,16 @@ class FixedPoint:
 
     @staticmethod
     def punctual(chart: int, stratum: int) -> "FixedPoint":
+        if chart not in CHARTS:
+            raise ValueError(f"chart must be 0, 1 or 2, got {chart}")
         if stratum not in (0, 1, 2):
             raise ValueError(f"stratum must be 0, 1 or 2, got {stratum}")
         return FixedPoint("punctual", chart, stratum=stratum)
 
     @staticmethod
     def pair(chart: int, other: int, local: int) -> "FixedPoint":
+        if chart not in CHARTS or other not in CHARTS:
+            raise ValueError(f"charts must be 0, 1 or 2, got {chart} and {other}")
         if chart == other:
             raise ValueError("pair points need two distinct charts")
         if local not in (1, 2):

@@ -48,6 +48,10 @@ from .scalars import (
 )
 
 
+# The highest degree whose invariant and closed forms are recorded.
+RECORDED_TOP_DEGREE = 4
+
+
 class ConsistencyError(ArithmeticError):
     """A quantity that must be specialization independent failed to be."""
 
@@ -328,14 +332,16 @@ _IDENTITIES = (
 )
 
 
-def verify_identities(d_max: int = 4, num_specs: int = 5, seed: int = 0) -> list[IdentityCheck]:
+def verify_identities(
+    d_max: int = RECORDED_TOP_DEGREE, num_specs: int = 5, seed: int = 0
+) -> list[IdentityCheck]:
     """Compare every engine graph sum against its closed form, pointwise.
 
     Returns one record per identity; failures carry the first offending
     specialization.  All comparisons are exact.
     """
-    if not 1 <= d_max <= 4:
-        raise ValueError("closed forms cover degrees 1 through 4 only")
+    if not 1 <= d_max <= RECORDED_TOP_DEGREE:
+        raise ValueError(f"closed forms cover degrees 1 through {RECORDED_TOP_DEGREE} only")
     if num_specs < 1:
         raise ValueError("need at least one specialization")
     points = sample_specializations(num_specs, seed=seed, forbidden=forbidden_weights(d_max))
@@ -404,7 +410,7 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
             f"got {format_rational(result.value)}",
         )
 
-    checks.extend(verify_identities(d_max=4, num_specs=5, seed=seed))
+    checks.extend(verify_identities(num_specs=5, seed=seed))
 
     datum = monomial((2, LINE), (1, POINT))
     partner = monomial((2, LINE), (1, SURFACE))
@@ -433,13 +439,14 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
 
     if len(pairings) < len(_FROZEN_INVARIANTS):
         return checks
-    f_values = [pairings[d].scaled for d in (1, 2, 3, 4)]
+    degrees = range(1, RECORDED_TOP_DEGREE + 1)
+    f_values = [pairings[d].scaled for d in degrees]
     add(
         "scaled values are -27, 27, 54, 27",
         f_values == [Fraction(-27), Fraction(27), Fraction(54), Fraction(27)],
         ", ".join(format_rational(v) for v in f_values),
     )
-    for d in (1, 2, 3, 4):
+    for d in degrees:
         table = two_point_table(d, f_values[d - 1])
         nonzero = sorted(v for v in table.values() if v != 0)
         expected2 = sorted([Fraction(12, d), Fraction(12, d), f_values[d - 1] / d])
@@ -469,7 +476,7 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
     )
     t3_counts = {
         d: sum(1 for v in three_point_table(d, f_values[:d]).values() if v != 0)
-        for d in (1, 2, 3, 4)
+        for d in degrees
     }
     add(
         "three-point tables have exactly four nonzero triples",

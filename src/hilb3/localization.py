@@ -123,8 +123,8 @@ def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
 
 @lru_cache(maxsize=_EDGE_EULER_CACHE_SIZE)
 def edge_euler(curve: Curve, degree: int, point: Specialization) -> Rational:
-    """Euler factor of an edge: product of the moving covering weights."""
-    return edge_character(curve, degree).moving_part().euler(point)
+    """Euler factor of an edge: product of the covering weights, none of them trivial."""
+    return edge_character(curve, degree).euler(point)
 
 
 def pochhammer(start: Rational, length: int) -> Rational:

@@ -1,10 +1,11 @@
 """Exact rational scalars, torus weights and specialization sampling.
 
-Every quantity in this package is a ``fractions.Fraction``; no floats appear
+Every value in this package is a ``fractions.Fraction``; no floats appear
 anywhere.  A weight is an integer (or rational) linear form ``a*w + b*z`` in
-the two generators of the torus character lattice.  Identities between
-rational functions are never manipulated symbolically: both sides are
-evaluated at sampled nondegenerate rational points and compared exactly.
+the two generators of the torus character lattice, and the specialization it
+is evaluated at fixes the number type.  Identities between rational functions
+are never manipulated symbolically: both sides are evaluated at sampled
+nondegenerate rational points and compared exactly.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ class DegenerateSpecializationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Weight:
-    """Additive torus character ``a*w + b*z`` with exact rational coefficients."""
+    """Additive torus character ``a*w + b*z`` with exact rational coefficients.
 
-    a: Fraction
-    b: Fraction
+    The coefficients are kept as given, ``int`` or ``Fraction``; evaluating at
+    a :class:`Specialization` makes the value a ``Fraction``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    a: int | Fraction
+    b: int | Fraction
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b)
@@ -59,7 +60,6 @@ class Weight:
         return Weight(-self.a, -self.b)
 
     def scaled(self, factor: Fraction | int) -> "Weight":
-        factor = Fraction(factor)
         return Weight(self.a * factor, self.b * factor)
 
     def is_zero(self) -> bool:
@@ -69,12 +69,16 @@ class Weight:
         return f"{self.a}*w + {self.b}*z"
 
 
-ZERO_WEIGHT = Weight(Fraction(0), Fraction(0))
+ZERO_WEIGHT = Weight(0, 0)
 
 
 @dataclass(frozen=True)
 class Specialization:
-    """A rational evaluation point (w, z) for torus weights."""
+    """A rational evaluation point (w, z) for torus weights.
+
+    The coordinates are made ``Fraction``s here, so every evaluated weight is
+    one.
+    """
 
     w: Fraction
     z: Fraction
@@ -96,8 +100,8 @@ class VirtualCharacter:
     """Formal integer combination of weights (a virtual torus representation).
 
     Stored as a mapping from :class:`Weight` to a signed multiplicity.
-    Zero-weight summands are the trivial (non-moving) directions; callers
-    drop them with :meth:`moving_part` before taking Euler classes.
+    Zero-weight summands are the trivial (non-moving) directions;
+    :meth:`moving_part` drops them, and :meth:`euler` rejects them.
     """
 
     __slots__ = ("_terms",)

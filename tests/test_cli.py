@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, output shape and determinism."""
 
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
-from hilb3 import cli
-from hilb3.cli import main
+from hilb3 import cli, invariants
+from hilb3.cli import build_parser, main
 from hilb3.invariants import IdentityCheck
 from hilb3.localization import forbidden_weights
 from hilb3.scalars import sample_specializations
@@ -276,3 +278,108 @@ def test_failing_checks_print_fail_lines_and_exit_one(
         {"name": "breaks with a reason", "passed": False, "detail": "1 != 2"},
         {"name": "breaks silently", "passed": False, "detail": ""},
     ]
+
+
+# Each subcommand's options with their defaults and whether they are
+# required.  Shared options come from parent parsers; no command may gain
+# or lose one through them.
+OPTIONS = {
+    "catalog": {"--json": (False, False)},
+    "graphs": {
+        "--family": (None, True),
+        "--i": (None, False),
+        "--j": (None, False),
+        "--k": (None, False),
+        "--d": (None, True),
+        "--json": (False, False),
+    },
+    "graphsum": {
+        "--family": (None, True),
+        "--i": (None, False),
+        "--j": (None, False),
+        "--k": (None, False),
+        "--d": (None, True),
+        "--json": (False, False),
+        "--seed": (0, False),
+    },
+    "invariant": {
+        "--d": (None, True),
+        "--points": (3, False),
+        "--seed": (0, False),
+        "--json": (False, False),
+    },
+    "verify": {
+        "--dmax": (4, False),
+        "--specs": (5, False),
+        "--seed": (0, False),
+        "--json": (False, False),
+    },
+    "table": {
+        "--kind": ("all", False),
+        "--dmax": (4, False),
+        "--seed": (0, False),
+        "--json": (False, False),
+        "--markdown": (False, False),
+    },
+    "reproduce": {"--seed": (0, False), "--json": (False, False)},
+}
+
+
+def test_each_subcommand_keeps_its_options_and_defaults():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {
+            option: (action.default, action.required)
+            for action in command._actions
+            if action.dest != "help"
+            for option in action.option_strings
+        }
+        for name, command in sub.choices.items()
+    }
+    assert declared == OPTIONS
+
+
+@pytest.mark.parametrize(
+    "dmax, message",
+    [("5", "--dmax must be at most 4"), ("0", "--dmax must be a positive integer")],
+)
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_dmax_outside_the_recorded_degrees_is_usage_error(capsys, command, dmax, message):
+    code, err = _usage_error(capsys, command, "--dmax", dmax)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        (["--family", "pair", "--i", "0", "--j", "0"], "no pair curve for charts (0,0)"),
+        (["--family", "S", "--i", "0", "--j", "3"], "no pair curve for charts (0,3)"),
+        (["--family", "punctual", "--i", "3", "--j", "0", "--k", "1"],
+         "no punctual curve for (3;0,1)"),
+        (["--family", "T", "--i", "0", "--j", "2", "--k", "1"], "need 0 <= j < k <= 2, got (2,1)"),
+    ],
+)
+@pytest.mark.parametrize("command", ["graphs", "graphsum"])
+def test_family_indices_the_library_rejects_are_usage_errors(capsys, command, indices, message):
+    code, err = _usage_error(capsys, command, *indices, "--d", "1")
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["invariant", "--d", "1"], ["table", "--dmax", "1"]], ids=["invariant", "table"]
+)
+def test_varying_totals_print_a_fail_line_and_exit_one(capsys, monkeypatch, argv):
+    evaluated = []
+
+    def varying_total(d, point):
+        evaluated.append(point)
+        return Fraction(len(evaluated))
+
+    monkeypatch.setattr(invariants, "two_point_total", varying_total)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.startswith("FAIL: two-point total varies across specializations in degree 1: ")
+    assert out.count("\n") == 1

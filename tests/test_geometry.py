@@ -60,6 +60,18 @@ def test_tangent_characters_have_rank_six():
         assert char.moving_part() == char
 
 
+@pytest.mark.parametrize("chart", [3, -1])
+def test_punctual_point_rejects_a_chart_outside_the_plane(chart):
+    with pytest.raises(ValueError, match="chart must be 0, 1 or 2"):
+        FixedPoint.punctual(chart, 0)
+
+
+@pytest.mark.parametrize("chart, other", [(0, 7), (3, 1), (-1, 0)])
+def test_pair_point_rejects_charts_outside_the_plane(chart, other):
+    with pytest.raises(ValueError, match="charts must be 0, 1 or 2"):
+        FixedPoint.pair(chart, other, 1)
+
+
 def test_frozen_tangent_eulers():
     # Hand-expanded products of the six tangent weights at (w, z) = (1, 3).
     assert tangent_euler(FixedPoint.punctual(0, 0), POINT_13) == -45

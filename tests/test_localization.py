@@ -135,6 +135,14 @@ def test_edge_character_ranks():
             assert edge_character(curve, degree).rank() == 5
 
 
+def test_covering_characters_have_no_trivial_summand():
+    # edge_euler takes the Euler class of the whole character.
+    for curve in curve_catalog():
+        for degree in range(1, 21):
+            character = edge_character(curve, degree)
+            assert character == character.moving_part()
+
+
 def test_edge_euler_matches_closed_form_everywhere():
     points = sample_specializations(5, seed=3, forbidden=forbidden_weights(4))
     for i in range(3):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hilb3 import scalars
-from hilb3.localization import forbidden_weights
+from hilb3.geometry import curve_catalog, fixed_points, tangent_character, taut_c1
+from hilb3.localization import edge_character, forbidden_weights
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
@@ -174,3 +175,18 @@ def test_sampler_walls_cover_axes_scaling_and_the_zero_form():
     assert not scalars._admissible(Fraction(3), Fraction(2), scalars._walls((ZERO_WEIGHT,)))
     with pytest.raises(DegenerateSpecializationError):
         sample_specializations(1, seed=0, forbidden=(ZERO_WEIGHT,))
+
+
+def test_built_weights_are_exact_and_evaluate_to_fractions():
+    # Weights keep the coefficients they are built with; the specialization
+    # alone sets the number type of a value.
+    built = [w for p in fixed_points() for w, _ in tangent_character(p).items()]
+    built += [
+        w for c in curve_catalog() for d in range(1, 7) for w, _ in edge_character(c, d).items()
+    ]
+    built += [taut_c1(p, twist) for p in fixed_points() for twist in (0, 1)]
+    built += forbidden_weights(6)
+    point = Specialization(2, 3)
+    for weight in built:
+        assert {type(weight.a), type(weight.b)} <= {int, Fraction}
+        assert type(evaluate_weight(weight, point)) is Fraction
