@@ -414,7 +414,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ConsistencyError as exc:
-        _emit(f"FAIL: {exc}")
+        if args.json:
+            _emit_json({"error": str(exc)})
+        else:
+            _emit(f"FAIL: {exc}")
         return 1
 
 

@@ -25,7 +25,6 @@ POINT = "point"
 LINE = "line"
 SURFACE = "surface"
 
-_CLASS_DEGREE = {POINT: 0, LINE: 2, SURFACE: 4}
 _CLASS_RANK = {SURFACE: 0, LINE: 1, POINT: 2}
 _CLASS_SHORT = {POINT: "pt", LINE: "ell", SURFACE: "X"}
 
@@ -47,18 +46,12 @@ def monomial(*factors: tuple[int, str]) -> Monomial:
     for size, cls in factors:
         if size < 1:
             raise ValueError("operator size must be positive")
-        if cls not in _CLASS_DEGREE:
+        if cls not in _CLASS_RANK:
             raise ValueError(f"unknown surface class {cls!r}")
         total += size
     if total != 3:
         raise ValueError("operator sizes must sum to 3")
     return tuple(sorted(factors, key=lambda f: (-f[0], _CLASS_RANK[f[1]])))
-
-
-def monomial_degree(mono: Monomial) -> int:
-    """Homology degree: each factor contributes twice its size minus two,
-    plus the degree of its surface class."""
-    return sum(2 * (size - 1) + _CLASS_DEGREE[cls] for size, cls in mono)
 
 
 def format_monomial(mono: Monomial) -> str:
@@ -91,13 +84,6 @@ class FockVector:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._coeffs.get(mono, Fraction(0))
-
-    def degree(self) -> int:
-        """Common homology degree of the terms; fails on mixed vectors."""
-        degrees = {monomial_degree(m) for m in self._coeffs}
-        if len(degrees) != 1:
-            raise ValueError("vector is not homogeneous")
-        return degrees.pop()
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return FockVector(list(self._coeffs.items()) + list(other._coeffs.items()))

@@ -10,7 +10,7 @@ factors (Euler classes of fixed-point tangent spaces) and flag factors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -33,6 +33,7 @@ from .scalars import (
     VirtualCharacter,
     Weight,
     evaluate_weight,
+    invertible,
 )
 
 # Bounds of the caches keyed by a Specialization.  ``hilb3 verify --dmax 4
@@ -151,11 +152,7 @@ def edge_euler_closed(i: int, j: int, degree: int, point: Specialization) -> Rat
     denominator = (wi + zi)
     denominator *= pochhammer(1 + Fraction(2 * d) * wi / (zi - wi), d - 1)
     denominator *= pochhammer(1 - d * (wi + zi) / Fraction(wi - zi), d - 1)
-    if denominator == 0:
-        raise DegenerateSpecializationError(
-            f"closed-form edge factor degenerates at w={point.w}, z={point.z}"
-        )
-    return numerator / denominator
+    return numerator / invertible(denominator, "closed-form edge denominator", point)
 
 
 def psi_vertex_integral(weights: Sequence[Rational], total_points: int) -> Rational:
@@ -187,23 +184,14 @@ def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
         omegas = []
         for edge in around[vertex]:
             tangent = evaluate_weight(edge.curve.tangent_at(label), point)
-            if tangent == 0:
-                raise DegenerateSpecializationError(
-                    f"flag weight vanishes at w={point.w}, z={point.z}"
-                )
-            omegas.append(tangent / edge.degree)
+            omegas.append(invertible(tangent, "flag weight", point) / edge.degree)
         valence = len(omegas)
         special = valence + graph.mark_count(vertex)
         value *= tangent_euler(label, point) ** (valence - 1)
         if special >= 3:
             value *= psi_vertex_integral(omegas, special)
         elif valence == 2:
-            smoothing = omegas[0] + omegas[1]
-            if smoothing == 0:
-                raise DegenerateSpecializationError(
-                    f"node smoothing weight vanishes at w={point.w}, z={point.z}"
-                )
-            value /= smoothing
+            value /= invertible(omegas[0] + omegas[1], "node smoothing weight", point)
         elif special == 1:
             value *= omegas[0]
     return value
@@ -211,13 +199,16 @@ def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
 
 @dataclass(frozen=True)
 class _Flag:
-    """One end of a degree-``degree`` cover of a family curve.
+    """One end of a degree-``degree`` cover of a family curve, at one point.
 
     Flags are numbered; ``far`` is the number of the flag at the other end
     of the same edge.  ``weight`` is the flag weight omega, ``series`` the
     coefficients ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)``, ``edge``
-    the edge's share ``1/(degree * edge_euler)`` of the graph weight and
-    ``cost`` its beta-weighted degree.
+    the edge's share ``E/(degree * edge_euler)`` of the graph weight, with
+    the label's tangent Euler factor ``E``, and ``cost`` its beta-weighted
+    degree.  ``nodes`` are the factors ``1/(omega + omega_f)`` for the flags
+    ``f`` at the same label, cheapest first, that fit with this one in the
+    pass's degree.  :func:`_flags` inverts all these forms.
     """
 
     index: int
@@ -226,35 +217,41 @@ class _Flag:
     weight: Rational
     edge: Rational
     series: tuple[Rational, ...]
+    nodes: tuple[Rational, ...] = ()
 
 
-def _flags(curves: tuple[Curve, ...], d: int, point: Specialization) -> dict[FixedPoint, list[_Flag]]:
-    """The flags of every cover that fits in degree ``d``, grouped by label."""
+def _flags(
+    curves: tuple[Curve, ...], top: int, point: Specialization
+) -> tuple[dict[FixedPoint, list[_Flag]], dict[FixedPoint, Rational]]:
+    """The flags of every cover that fits in degree ``top``, grouped by label
+    and cheapest first, and each label's tangent Euler factor ``E``.
+
+    These are all the values of a pass that depend on the point, so a pass
+    raises here or nowhere.
+    """
+    labels = {label for curve in curves if curve.beta <= top for label in curve.endpoints}
+    euler = {label: tangent_euler(label, point) for label in labels}
     flags: dict[FixedPoint, list[_Flag]] = {}
     count = 0
     for curve in curves:
-        for degree in range(1, d // curve.beta + 1):
-            edge = 1 / (degree * edge_euler(curve, degree, point))
+        for degree in range(1, top // curve.beta + 1):
+            share = 1 / (degree * edge_euler(curve, degree, point))
             for end, label in enumerate(curve.endpoints):
                 tangent = evaluate_weight(curve.tangents[end], point)
-                if tangent == 0:
-                    raise DegenerateSpecializationError(
-                        f"flag weight vanishes at w={point.w}, z={point.z}"
-                    )
-                inverse = degree / tangent
-                series = [inverse]
-                for s in range(1, d + 1):
-                    series.append(series[-1] * inverse / s)
+                inverse = degree / invertible(tangent, "flag weight", point)
+                series = tuple(inverse ** (s + 1) / math.factorial(s) for s in range(top + 1))
                 flags.setdefault(label, []).append(_Flag(
-                    count + end,
-                    count + 1 - end,
-                    curve.beta * degree,
-                    tangent / degree,
-                    edge,
-                    tuple(series),
+                    count + end, count + 1 - end, curve.beta * degree, tangent / degree,
+                    euler[label] * share, series,
                 ))
             count += 2
-    return flags
+    for here in flags.values():
+        here.sort(key=lambda f: f.cost)
+        here[:] = [replace(p, nodes=tuple(
+            1 / invertible(p.weight + f.weight, "node smoothing weight", point)
+            for f in here if p.cost + f.cost <= top
+        )) for p in here]
+    return flags, euler
 
 
 def _add_product(out: list, left: list, right: list, shift: int, scale: Rational = 1) -> None:
@@ -291,12 +288,11 @@ def _recursion_pass(
     those with it once per label that is a second mark; see
     :func:`graph_sum` for the recursion.
     """
-    flags = _flags(curves, top, point)
+    flags, euler = _flags(curves, top, point)
     labels = sorted(flags)
     placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
     seconds = sorted({b for _, b in placements})
     firsts = {a for a, _ in placements}
-    euler = {label: tangent_euler(label, point) for label in flags}
     # Subtree sums by order, without and with the second mark, indexed by
     # the number of the flag at their root on the edge to their parent.
     # At order 0 a subtree is a leaf: a bare one gives omega, one that
@@ -309,16 +305,16 @@ def _recursion_pass(
             bare[f.index][0] = f.weight
             if label in marked:
                 marked[label][f.index][0] = Fraction(1)
-    two_valent: dict[tuple[int, int], Rational] = {}
     # A root reads its rows up to order ``top``; any other vertex hangs from
     # a parent flag, which costs at least the cheapest flag at its label.
     tops = {
-        label: top if label in firsts else top - min(f.cost for f in here)
+        label: top if label in firsts else top - here[0].cost
         for label, here in flags.items()
     }
     # The rows at each label by order N, polynomials in t: ``t X_N``,
     # ``t Y_(s,N)`` and ``t^N Lambda_N``; all vanish at order 0.  A root
-    # reads ``[t^-2] (Y_s Lambda)_N / E`` at every order.
+    # keeps ``E`` times its graph sum at every order: the children's
+    # ``sum_f e_f M_f`` plus ``[t^-2] (Y_s Lambda)_N``.
     xs = {label: [[]] for label in flags}
     ys = {label: {s: [[]] for s in seconds} for label in flags}
     logs = {label: [[]] for label in flags}
@@ -333,7 +329,7 @@ def _recursion_pass(
                 s: [f.edge * marked[s][f.far][order - f.cost] for f in kids] for s in seconds
             }
             x, log = xs[label], logs[label]
-            x.append(_child_row(kids, [euler[label] * a for a in plain_kids], top - order + 1))
+            x.append(_child_row(kids, plain_kids, top - order + 1))
             # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k), and below
             # t-degree -1, phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
             log.append([0] * tops[label])
@@ -345,26 +341,17 @@ def _recursion_pass(
             held_logs = {}
             for s in seconds:
                 y = ys[label][s]
-                y.append(_child_row(kids, [euler[label] * b for b in held_kids[s]], top - order))
+                y.append(_child_row(kids, held_kids[s], top - order))
                 held_logs[s] = [0] * (order - 1)
                 for k in range(1, order):
                     _add_product(held_logs[s], log[k], y[order - k], order - k - 1)
-                if label in firsts and order > 1:
-                    roots[label, s][order] = held_logs[s][order - 2] / euler[label]
+                if label in firsts:
+                    below = held_logs[s][order - 2] if order > 1 else Fraction(0)
+                    roots[label, s][order] = sum(held_kids[s], below)
             for parent in here:
                 if order + parent.cost > top:
-                    continue
-                nodes = []
-                for f in kids:
-                    pair = (parent.index, f.index)
-                    if pair not in two_valent:
-                        node = parent.weight + f.weight
-                        if node == 0:
-                            raise DegenerateSpecializationError(
-                                f"node smoothing weight vanishes at w={point.w}, z={point.z}"
-                            )
-                        two_valent[pair] = euler[label] / node
-                    nodes.append(two_valent[pair])
+                    break
+                nodes = parent.nodes  # the kids are a prefix of its flags
                 plain = sum((a * n for a, n in zip(plain_kids, nodes) if a), Fraction(0))
                 bare[parent.index][order] = plain + _extract(phi, parent, order - 2)
                 for s in seconds:
@@ -374,11 +361,7 @@ def _recursion_pass(
                         held += _extract(log[order], parent, order - 1)
                     marked[s][parent.index][order] = held
     return {
-        (first, second): tuple(
-            sum((f.edge * marked[second][f.far][d - f.cost] for f in flags[first] if f.cost <= d),
-                roots[first, second][d])
-            for d in range(1, top + 1)
-        )
+        (first, second): tuple(value / euler[first] for value in roots[first, second][1:])
         for first, second in placements
     }
 
@@ -427,8 +410,10 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     A row at order ``N`` keeps only the t-degrees that can still reach an
     extraction at an order up to the pass's degree.  The only forms inverted
     are flag weights, node smoothings, edge Euler factors and the root's
-    tangent Euler factor ``E``, all in :func:`forbidden_weights`; each of
-    them, and every tangent weight, raises
+    tangent Euler factor ``E``, all in :func:`forbidden_weights`.
+    :func:`_flags` inverts all of them before the order loop, which does
+    series arithmetic only; each of them, and every tangent weight, goes
+    through :func:`~hilb3.scalars.invertible` and raises
     :class:`DegenerateSpecializationError` when it vanishes.
     :func:`graph_contribution` over :func:`~hilb3.graphs.enumerate_graphs`
     gives the same value one graph at a time.

@@ -24,6 +24,7 @@ __all__ = [
     "VirtualCharacter",
     "Specialization",
     "DegenerateSpecializationError",
+    "invertible",
     "evaluate_weight",
     "format_rational",
     "parse_rational",
@@ -37,6 +38,13 @@ class DegenerateSpecializationError(ArithmeticError):
     Raised during evaluation when a supposedly moving weight vanishes at the
     chosen point, which means the point escaped the forbidden-value screen.
     """
+
+
+def invertible(value: Fraction, what: str, point: "Specialization") -> Fraction:
+    """``value``, about to be inverted, or an error naming ``what`` if it is zero."""
+    if value == 0:
+        raise DegenerateSpecializationError(f"{what} vanishes at w={point.w}, z={point.z}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -154,12 +162,7 @@ class VirtualCharacter:
         """
         result = Fraction(1)
         for weight, mult in self._terms.items():
-            value = evaluate_weight(weight, point)
-            if value == 0:
-                raise DegenerateSpecializationError(
-                    f"weight {weight} vanishes at w={point.w}, z={point.z}"
-                )
-            result *= value ** mult
+            result *= invertible(evaluate_weight(weight, point), f"weight {weight}", point) ** mult
         return result
 
 

@@ -369,7 +369,14 @@ def test_family_indices_the_library_rejects_are_usage_errors(capsys, command, in
 
 
 @pytest.mark.parametrize(
-    "argv", [["invariant", "--d", "1"], ["table", "--dmax", "1"]], ids=["invariant", "table"]
+    "argv",
+    [
+        ["invariant", "--d", "1"],
+        ["table", "--dmax", "1"],
+        ["invariant", "--d", "1", "--json"],
+        ["table", "--dmax", "1", "--json"],
+    ],
+    ids=["invariant", "table", "invariant-json", "table-json"],
 )
 def test_varying_totals_print_a_fail_line_and_exit_one(capsys, monkeypatch, argv):
     evaluated = []
@@ -381,5 +388,12 @@ def test_varying_totals_print_a_fail_line_and_exit_one(capsys, monkeypatch, argv
     monkeypatch.setattr(invariants, "two_point_total", varying_total)
     code, out = run_cli(capsys, *argv)
     assert code == 1
-    assert out.startswith("FAIL: two-point total varies across specializations in degree 1: ")
-    assert out.count("\n") == 1
+    message = "two-point total varies across specializations in degree 1: "
+    if "--json" in argv:
+        payload = json.loads(out)
+        assert sorted(payload) == ["error", "schema"]
+        assert payload["schema"] == "1"
+        assert payload["error"].startswith(message)
+    else:
+        assert out.startswith("FAIL: " + message)
+        assert out.count("\n") == 1

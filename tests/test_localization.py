@@ -433,3 +433,21 @@ def test_degenerate_walls_raise_and_never_divide_by_zero():
             assert oracle is not None, f"{family.name} missed the wall {form}"
             assert value == oracle, f"{family.name} on the wall {form}"
     assert stopped > 0
+
+
+def test_passes_on_the_walls_stop_exactly_where_they_did():
+    # One point on each wall of forbidden_weights(3).  A degree-3 pass on a
+    # curve system stops there exactly when a form it inverts vanishes; the
+    # count pins that set, so inverting more or fewer forms fails here.
+    systems = {family.curves for family in FAMILIES}
+    assert len(systems) == 9
+    stopped = total = 0
+    for form in forbidden_weights(3):
+        wall = Specialization(form.b, -form.a)
+        for curves in systems:
+            total += 1
+            try:
+                localization._recursion_pass(curves, 3, wall)
+            except DegenerateSpecializationError:
+                stopped += 1
+    assert (stopped, total) == (573, 1215)
