@@ -308,6 +308,8 @@ def two_point_table(d: int, f_d: Rational) -> dict[tuple[Monomial, Monomial], Fr
 
 
 def _case_iv(d: int, f: Sequence[Rational]) -> Fraction:
+    if d < 1:
+        raise ValueError("degree must be positive")
     value = Fraction(-162) - 15 * Fraction(f[d - 1])
     value += 6 * sum(Fraction(f[d1 - 1]) for d1 in range(1, d))
     value += Fraction(1, 3) * sum(
@@ -358,7 +360,8 @@ def wdvv_consistency(d: int, f: Sequence[Rational]) -> bool:
 
     The top three-point entry is defined by this identity in the first
     place, so this is a regression check of the table algebra, not an
-    independent verification of the f values.
+    independent verification of the f values.  A degree below 1 raises
+    ``ValueError``, from :func:`_case_iv`.
     """
     if len(f) < d:
         raise ValueError(f"need f values for every degree up to {d}")

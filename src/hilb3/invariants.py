@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .fock import (
     LINE,
@@ -153,7 +152,7 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
         raise ConsistencyError(
             f"two-point total varies across specializations in degree {d}: {totals}"
         )
-    return InvariantResult(d, totals[0], points)
+    return InvariantResult(d, totals[0], tuple(points))
 
 
 # Closed-form evaluations used as independent cross-checks.  Each is a
@@ -270,23 +269,6 @@ class IdentityCheck:
     detail: str = ""
 
 
-def _check(name: str, cases) -> IdentityCheck:
-    """Evaluate (lhs, rhs, context) triples and report the first mismatch."""
-    for lhs, rhs, context in cases:
-        if lhs != rhs:
-            return IdentityCheck(name, False, f"{context}: {lhs} != {rhs}")
-    return IdentityCheck(name, True)
-
-
-def _cases(engine, closed, indices, context: str, points):
-    """(lhs, rhs, context) triples of ``side(*index, point)``, points outermost."""
-    return (
-        (engine(*index, pt), closed(*index, pt), f"{context.format(*index)} at w={pt.w}, z={pt.z}")
-        for pt in points
-        for index in indices
-    )
-
-
 def _pair_sum(d: int, i: int, j: int, spec: Specialization) -> Rational:
     return graph_sum(pair_family(i, j), d, spec)
 
@@ -331,7 +313,6 @@ _IDENTITIES = (
      punctual_family_term, family_term_recursed),
 )
 
-
 def verify_identities(
     d_max: int = RECORDED_TOP_DEGREE, num_specs: int = 5, seed: int = 0
 ) -> list[IdentityCheck]:
@@ -346,22 +327,33 @@ def verify_identities(
         raise ValueError("need at least one specialization")
     points = sample_specializations(num_specs, seed=seed, forbidden=forbidden_weights(d_max))
     marks = tuple((i, j, k) for i in range(3) for j, k in ((0, 1), (0, 2), (1, 2)))
-    mark_check = _check(
-        "mark factors match their displays",
-        _cases(punctual_mark_factor, _mark_factor_closed, marks, "i={} strata=({},{})", points),
-    )
-    # Degree d_max first: its recursion pass on each curve system and point
-    # then serves every lower degree.  The records still go out ascending.
-    by_degree = {
-        d: [
-            _check(f"{name}, degree {d}",
-                   _cases(partial(engine, d), partial(closed, d), indices, context, points))
-            for name, first, indices, context, engine, closed in _IDENTITIES
-            if d >= first
-        ]
-        for d in range(d_max, 0, -1)
-    }
-    return [mark_check] + [check for d in range(1, d_max + 1) for check in by_degree[d]]
+    # Each record's name, the leading arguments of both sides and the rest of
+    # its row, with the degrees ascending.
+    records = [("mark factors match their displays", (), marks, "i={} strata=({},{})",
+                punctual_mark_factor, _mark_factor_closed)]
+    records += [
+        (f"{name}, degree {d}", (d,), indices, context, engine, closed)
+        for d in range(1, d_max + 1)
+        for name, first, indices, context, engine, closed in _IDENTITIES
+        if d >= first
+    ]
+    # Each point is walked from degree d_max down (the mark factors, which
+    # need no graph sum, last): that point's recursion pass on each curve
+    # system then serves every lower degree while it is the most recently
+    # used.  A record keeps its first mismatch, points outermost.
+    walk = sorted(records, key=lambda record: record[1], reverse=True)
+    failures: dict[str, str] = {}
+    for pt in points:
+        for name, head, indices, context, engine, closed in walk:
+            for index in indices:
+                if name in failures:
+                    break
+                lhs, rhs = engine(*head, *index, pt), closed(*head, *index, pt)
+                if lhs != rhs:
+                    where = f"{context.format(*index)} at w={pt.w}, z={pt.z}"
+                    failures[name] = f"{where}: {lhs} != {rhs}"
+    return [IdentityCheck(name, name not in failures, failures.get(name, ""))
+            for name, *_ in records]
 
 
 _FROZEN_INVARIANTS = {

@@ -22,7 +22,6 @@ from .geometry import (
     curve_catalog,
     curves_through,
     fixed_points,
-    tangent_character,
     tangent_euler,
 )
 from .graphs import Edge, Family, StableGraph, automorphism_order
@@ -32,6 +31,7 @@ from .scalars import (
     Specialization,
     VirtualCharacter,
     Weight,
+    _walls,
     evaluate_weight,
     invertible,
 )
@@ -437,47 +437,32 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     return stored.totals[tuple(sorted(family.mark_labels))][d - 1]
 
 
-def _canonical_sign(weight: Weight) -> Weight:
-    if weight.a < 0 or (weight.a == 0 and weight.b < 0):
-        return -weight
-    return weight
-
-
 @lru_cache(maxsize=None)
 def forbidden_weights(d_max: int) -> tuple[Weight, ...]:
-    """Every linear form that may be inverted in a degree <= ``d_max`` sum.
+    """Every wall on which a form inverted in a degree <= ``d_max`` sum vanishes.
 
-    Specializations drawn against this list keep all edge, vertex, flag and
-    node-smoothing denominators nonzero, as well as the factors of the
-    closed-form edge products used for cross-checks.
+    The walls come from the edge characters' weights and the node smoothings
+    ``d2*t1 + d1*t2``; a flag weight's wall is that of a curve's smoothing
+    with itself.  Each wall ``a*w + b*z = 0`` is listed once, sorted, as the
+    primitive integer form that :func:`~hilb3.scalars.sample_specializations`
+    reduces every form to.  Two sources add no wall: the tangent characters,
+    whose walls are those of the degree-1 edges at the same label, and the
+    factors of :func:`edge_euler_closed`, each ``d`` times a pair curve's
+    shifted edge weight.
     """
-    found: set[Weight] = set()
-
-    def note(weight: Weight) -> None:
-        if not weight.is_zero():
-            found.add(_canonical_sign(weight))
-
+    if d_max < 1:
+        raise ValueError(f"degree must be positive, got {d_max}")
+    forms = [
+        weight
+        for curve in curve_catalog()
+        for degree in range(1, d_max // curve.beta + 1)
+        for weight, _ in edge_character(curve, degree).items()
+    ]
     for label in fixed_points():
-        for weight, _ in tangent_character(label).items():
-            note(weight)
-    for curve in curve_catalog():
-        for degree in range(1, d_max // curve.beta + 1):
-            for weight, _ in edge_character(curve, degree).items():
-                note(weight)
-    for label in fixed_points():
-        through = curves_through(label)
-        for first in through:
-            for second in through:
-                t1 = first.tangent_at(label)
-                t2 = second.tangent_at(label)
-                for d1 in range(1, d_max // first.beta + 1):
-                    for d2 in range(1, d_max // second.beta + 1):
-                        note(t1.scaled(d2) + t2.scaled(d1))
-    for i in range(3):
-        wi = chart_weight(i, 1, 0)
-        zi = chart_weight(i, 0, 1)
-        for degree in range(1, d_max + 1):
-            for k in range(degree - 1):
-                note((zi - wi).scaled(k + 1) + wi.scaled(2 * degree))
-                note((wi - zi).scaled(k + 1) - (wi + zi).scaled(degree))
-    return tuple(sorted(found, key=lambda w: (w.a, w.b)))
+        ends = [
+            (curve.tangent_at(label), degree)
+            for curve in curves_through(label)
+            for degree in range(1, d_max // curve.beta + 1)
+        ]
+        forms += [t1.scaled(d2) + t2.scaled(d1) for t1, d1 in ends for t2, d2 in ends]
+    return tuple(Weight(a, b) for a, b in sorted(_walls(forms) - {(0, 0)}))

@@ -85,13 +85,16 @@ class Specialization:
     """A rational evaluation point (w, z) for torus weights.
 
     The coordinates are made ``Fraction``s here, so every evaluated weight is
-    one.
+    one.  A ``float`` coordinate raises ``TypeError``: its binary expansion
+    would pass for the rational the caller meant.
     """
 
     w: Fraction
     z: Fraction
 
     def __post_init__(self) -> None:
+        if isinstance(self.w, float) or isinstance(self.z, float):
+            raise TypeError(f"coordinates must be exact, got w={self.w!r}, z={self.z!r}")
         object.__setattr__(self, "w", Fraction(self.w))
         object.__setattr__(self, "z", Fraction(self.z))
 
@@ -235,6 +238,8 @@ def sample_specializations(
     resample budget.  The forms are reduced to integer pairs once per call, so
     a draw costs one lookup however many forms there are.
     """
+    if count < 0:
+        raise ValueError(f"point count must not be negative, got {count}")
     rng = random.Random(seed)
     walls = _walls(forbidden)
     points: list[Specialization] = []

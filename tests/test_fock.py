@@ -10,6 +10,7 @@ from hilb3.fock import (
     POINT,
     SURFACE,
     FockVector,
+    _case_iv,
     base_square,
     basis,
     contracted_class,
@@ -242,6 +243,15 @@ def test_composition_law_is_a_table_identity():
     arbitrary = [Fraction(5), Fraction(-7, 3), Fraction(11, 2)]
     for d in (1, 2, 3):
         assert wdvv_consistency(d, arbitrary[:d])
+
+
+@pytest.mark.parametrize("d, f", [(0, [-27]), (-1, [-27, 27])])
+def test_composition_law_rejects_nonpositive_degree(d, f):
+    # Both once read f[-1] and passed without comparing anything.
+    with pytest.raises(ValueError, match="degree must be positive"):
+        wdvv_consistency(d, f)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        _case_iv(d, f)
 
 
 def test_divisor_expansions_pair_correctly():

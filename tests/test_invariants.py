@@ -106,6 +106,12 @@ def test_two_points_are_a_constancy_check():
     assert double.verified_constant
 
 
+def test_invariant_result_is_hashable():
+    result = two_point_pairing(1, num_points=2)
+    assert type(result.points) is tuple
+    assert hash(result) == hash(two_point_pairing(1, num_points=2))
+
+
 def test_two_point_pairing_validates_arguments():
     with pytest.raises(ValueError):
         two_point_pairing(0)

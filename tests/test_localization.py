@@ -9,6 +9,7 @@ with it on randomized inputs.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -22,7 +23,7 @@ from hilb3.graphs import (
     pair_family,
     punctual_family,
 )
-from hilb3 import localization
+from hilb3 import localization, scalars
 from hilb3.cli import main
 from hilb3.invariants import verify_identities
 from hilb3.localization import (
@@ -185,10 +186,25 @@ def test_degenerate_specialization_is_detected():
 
 def test_forbidden_weights_census():
     weights = forbidden_weights(4)
-    assert len(weights) == 231
+    assert len(weights) == 66
     assert all(not w.is_zero() for w in weights)
     # Growing the degree bound only adds new walls.
     assert set(forbidden_weights(2)) <= set(weights)
+
+
+def test_forbidden_weights_list_each_wall_once_in_primitive_form():
+    for d in range(1, 13):
+        weights = forbidden_weights(d)
+        pairs = [(w.a, w.b) for w in weights]
+        assert pairs == sorted(set(pairs)), d
+        assert set(pairs) == scalars._walls(weights), d
+    assert [len(forbidden_weights(d)) for d in range(1, 7)] == [6, 24, 42, 66, 108, 138]
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_forbidden_weights_reject_nonpositive_degree(d):
+    with pytest.raises(ValueError, match="degree must be positive"):
+        forbidden_weights(d)
 
 
 def test_forbidden_weights_make_sampling_safe():
@@ -397,6 +413,15 @@ def test_table_and_reproduce_run_one_pass_per_curve_system_and_point(
     assert passes == [4] * expected
 
 
+def test_verify_needs_room_for_one_points_passes_only(passes, monkeypatch):
+    # verify walks one point at a time, top degree first, so a pass cache
+    # with room for one point's nine passes still runs each pass once.
+    small = lru_cache(maxsize=9)(localization._stored_pass.__wrapped__)
+    monkeypatch.setattr(localization, "_stored_pass", small)
+    assert all(check.passed for check in verify_identities(4, 5, seed=101))
+    assert passes == [4] * (9 * 5)
+
+
 def test_point_caches_are_bounded_and_never_evict_in_verify():
     _clear_point_caches()
     assert all(check.passed for check in verify_identities(4, 20, seed=102))
@@ -438,7 +463,9 @@ def test_degenerate_walls_raise_and_never_divide_by_zero():
 def test_passes_on_the_walls_stop_exactly_where_they_did():
     # One point on each wall of forbidden_weights(3).  A degree-3 pass on a
     # curve system stops there exactly when a form it inverts vanishes; the
-    # count pins that set, so inverting more or fewer forms fails here.
+    # count pins that set, so inverting more or fewer forms fails here.  A
+    # form vanishes at a multiple of a point exactly when it vanishes at the
+    # point, so one point per wall probes every form.
     systems = {family.curves for family in FAMILIES}
     assert len(systems) == 9
     stopped = total = 0
@@ -450,4 +477,4 @@ def test_passes_on_the_walls_stop_exactly_where_they_did():
                 localization._recursion_pass(curves, 3, wall)
             except DegenerateSpecializationError:
                 stopped += 1
-    assert (stopped, total) == (573, 1215)
+    assert (stopped, total) == (108, 378)

@@ -190,3 +190,19 @@ def test_built_weights_are_exact_and_evaluate_to_fractions():
     for weight in built:
         assert {type(weight.a), type(weight.b)} <= {int, Fraction}
         assert type(evaluate_weight(weight, point)) is Fraction
+
+
+def test_specialization_rejects_float_coordinates():
+    with pytest.raises(TypeError, match="exact"):
+        Specialization(0.1, 2)
+    with pytest.raises(TypeError, match="exact"):
+        Specialization(1, 2.0)
+    point = Specialization(3, Fraction(1, 7))
+    assert (point.w, point.z) == (Fraction(3), Fraction(1, 7))
+    assert {type(point.w), type(point.z)} == {Fraction}
+
+
+def test_sampler_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="must not be negative"):
+        sample_specializations(-3)
+    assert sample_specializations(0) == []
