@@ -8,8 +8,9 @@ graphs built from torus-fixed points and invariant curves, and the
 resulting two-point pairing is divided out against the middle
 cohomology to recover the invariant itself.  A separate layer expands
 the one-, two- and three-point count tables through an exact
-symmetric-function model of the cohomology and checks them against the
-composition law for quantum products.
+symmetric-function model of the cohomology.  Its composition-law check
+compares the top three-point entry with the law it was solved from, so
+it tests that algebra and holds for any input values.
 """
 
 from .scalars import (

@@ -5,7 +5,7 @@ creation operators a_{-n}(c), where c is a point, line or surface class of
 the plane and the sizes n sum to 3.  This module fixes the graded bases,
 the Poincaré pairing with its dual bases, and regenerates the one-, two-
 and three-point count tables from a supplied sequence of engine values,
-together with the composition-law consistency check.
+together with the composition-law check of the table algebra.
 
 The table functions take the degree-scaled two-point values f(1..d) as
 input rather than computing them, so everything here is pure algebra.
@@ -356,12 +356,12 @@ def _three_point_value(idx: tuple[int, int, int], d: int, f: Sequence[Rational])
 
 
 def wdvv_consistency(d: int, f: Sequence[Rational]) -> bool:
-    """Check the composition-law rearrangement against the table's top entry.
+    """Check the table's top three-point entry against the composition law.
 
-    The top three-point entry is defined by this identity in the first
-    place, so this is a regression check of the table algebra, not an
-    independent verification of the f values.  A degree below 1 raises
-    ``ValueError``, from :func:`_case_iv`.
+    The top entry, :func:`_case_iv`, is that law solved for it, so the two
+    sides agree for every sequence ``f``: this is a regression check of the
+    table algebra, not a verification of the f values.  A degree below 1
+    raises ``ValueError``, from :func:`_case_iv`.
     """
     if len(f) < d:
         raise ValueError(f"need f values for every degree up to {d}")

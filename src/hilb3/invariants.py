@@ -369,7 +369,8 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
 
     Covers the degree one to four invariants, every closed-form identity,
     the dual-basis and pairing pins, the count tables regenerated from the
-    engine's values and the composition law.  Returns one record per check.
+    engine's values and the composition-law check of the table algebra,
+    which holds for any values.  Returns one record per check.
     """
     checks: list[IdentityCheck] = []
 

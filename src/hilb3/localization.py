@@ -265,16 +265,12 @@ def _add_product(out: list, left: list, right: list, shift: int, scale: Rational
 
 def _child_row(kids: list[_Flag], values: list, length: int) -> list:
     """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
-    return [sum((a * f.series[s] for f, a in zip(kids, values) if a), Fraction(0))
-            for s in range(length)]
+    return [sum(a * f.series[s] for f, a in zip(kids, values) if a) for s in range(length)]
 
 
 def _extract(row: list, parent: _Flag, e: int) -> Rational:
     """``[t^e]`` of ``row`` times the parent flag's ``(1/omega) e^(t/omega)``."""
-    return sum(
-        (row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s]),
-        Fraction(0),
-    )
+    return sum(row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s])
 
 
 def _recursion_pass(
@@ -284,82 +280,75 @@ def _recursion_pass(
 
     A placement is a pair ``first < second`` of the system's labels; the
     value at a placement is the tuple of its graph sums in degrees
-    ``1..top``.  The series without the second mark are computed once, and
-    those with it once per label that is a second mark; see
-    :func:`graph_sum` for the recursion.
+    ``1..top``.  The series run in channels: channel 0 holds the subtrees
+    without the second mark, and channel ``c >= 1`` those holding it on
+    label ``marks[c]``, one channel per label that is a second mark.  Every
+    step serves all channels; see :func:`graph_sum` for the recursion.
     """
     flags, euler = _flags(curves, top, point)
     labels = sorted(flags)
     placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
-    seconds = sorted({b for _, b in placements})
+    marks = [None] + sorted({b for _, b in placements})
     firsts = {a for a, _ in placements}
-    # Subtree sums by order, without and with the second mark, indexed by
-    # the number of the flag at their root on the edge to their parent.
-    # At order 0 a subtree is a leaf: a bare one gives omega, one that
-    # holds the second mark 1.
+    # Subtree sums by channel and order, indexed by the number of the flag
+    # at their root on the edge to their parent.  At order 0 a subtree is a
+    # leaf: one without the second mark gives omega, one that holds it 1.
     count = sum(len(here) for here in flags.values())
-    bare = [[0] * (top + 1) for _ in range(count)]
-    marked = {s: [[0] * (top + 1) for _ in range(count)] for s in seconds}
+    sums = [[[0] * (top + 1) for _ in range(count)] for _ in marks]
     for label, here in flags.items():
         for f in here:
-            bare[f.index][0] = f.weight
-            if label in marked:
-                marked[label][f.index][0] = Fraction(1)
+            sums[0][f.index][0] = f.weight
+            if label in marks:
+                sums[marks.index(label)][f.index][0] = 1
     # A root reads its rows up to order ``top``; any other vertex hangs from
     # a parent flag, which costs at least the cheapest flag at its label.
     tops = {
         label: top if label in firsts else top - here[0].cost
         for label, here in flags.items()
     }
-    # The rows at each label by order N, polynomials in t: ``t X_N``,
-    # ``t Y_(s,N)`` and ``t^N Lambda_N``; all vanish at order 0.  A root
-    # keeps ``E`` times its graph sum at every order: the children's
-    # ``sum_f e_f M_f`` plus ``[t^-2] (Y_s Lambda)_N``.
-    xs = {label: [[]] for label in flags}
-    ys = {label: {s: [[]] for s in seconds} for label in flags}
+    # The rows at each label by order N, polynomials in t: ``t Y_(c,N)`` in
+    # each channel, with ``Y_0 = X``, and ``t^N Lambda_N``; all vanish at
+    # order 0.  A root keeps ``E`` times its graph sum at every order: the
+    # children's ``sum_f e_f M_f`` plus ``[t^-2] (Y_c Lambda)_N``.
+    rows = {label: [[[]] for _ in marks] for label in flags}
     logs = {label: [[]] for label in flags}
-    roots = {(label, s): [Fraction(0)] * (top + 1) for label in firsts for s in seconds}
+    roots = {(label, s): [0] * (top + 1) for label in firsts for s in marks[1:]}
     for order in range(1, top + 1):
         for label, here in flags.items():
             if order > tops[label]:
                 continue
             kids = [f for f in here if f.cost <= order]
-            plain_kids = [f.edge * bare[f.far][order - f.cost] for f in kids]
-            held_kids = {
-                s: [f.edge * marked[s][f.far][order - f.cost] for f in kids] for s in seconds
-            }
-            x, log = xs[label], logs[label]
-            x.append(_child_row(kids, plain_kids, top - order + 1))
-            # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k), and below
-            # t-degree -1, phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
+            values = [[f.edge * channel[f.far][order - f.cost] for f in kids] for channel in sums]
+            row, log = rows[label], logs[label]
+            for y, value in zip(row, values):
+                y.append(_child_row(kids, value, top - order))
+            # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k).
+            x = row[0]
             log.append([0] * tops[label])
-            phi = [0] * (order - 1)
             _add_product(log[order], [1], x[order], order - 1)
             for k in range(1, order):
                 _add_product(log[order], log[k], x[order - k], order - k - 1, Fraction(k, order))
-                _add_product(phi, log[k], x[order - k], order - k - 1, Fraction(order - k, order))
-            held_logs = {}
-            for s in seconds:
-                y = ys[label][s]
-                y.append(_child_row(kids, held_kids[s], top - order))
-                held_logs[s] = [0] * (order - 1)
+            # Below t-degree -1, sum_k Lambda_k Y_(c,N-k) in every channel.
+            # X_N has no term there, so channel 0 minus Lambda_N leaves
+            # phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
+            below = [[0] * (order - 1) for _ in marks]
+            for out, y in zip(below, row):
                 for k in range(1, order):
-                    _add_product(held_logs[s], log[k], y[order - k], order - k - 1)
-                if label in firsts:
-                    below = held_logs[s][order - 2] if order > 1 else Fraction(0)
-                    roots[label, s][order] = sum(held_kids[s], below)
+                    _add_product(out, log[k], y[order - k], order - k - 1)
+            below[0] = [p - q for p, q in zip(below[0], log[order])]
+            if label in firsts:
+                for c, mark in enumerate(marks[1:], 1):
+                    roots[label, mark][order] = sum(values[c] + below[c][-1:])
             for parent in here:
                 if order + parent.cost > top:
                     break
-                nodes = parent.nodes  # the kids are a prefix of its flags
-                plain = sum((a * n for a, n in zip(plain_kids, nodes) if a), Fraction(0))
-                bare[parent.index][order] = plain + _extract(phi, parent, order - 2)
-                for s in seconds:
-                    held = sum((b * n for b, n in zip(held_kids[s], nodes) if b), Fraction(0))
-                    held += _extract(held_logs[s], parent, order - 2)
-                    if label == s:
-                        held += _extract(log[order], parent, order - 1)
-                    marked[s][parent.index][order] = held
+                for c, mark in enumerate(marks):
+                    # The kids are a prefix of the parent's nodes.
+                    value = sum(a * n for a, n in zip(values[c], parent.nodes) if a)
+                    value += _extract(below[c], parent, order - 2)
+                    if label == mark:
+                        value += _extract(log[order], parent, order - 1)
+                    sums[c][parent.index][order] = value
     return {
         (first, second): tuple(value / euler[first] for value in roots[first, second][1:])
         for first, second in placements
@@ -387,24 +376,27 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     The graphs are not enumerated.  Rooted at the first mark, a graph is a
     tree of subtrees, and the sum over them weighted by ``1/|Aut|`` is a
     recursion over power series in ``q`` (beta-weighted degree, truncated at
-    ``d``) and ``t`` (psi degree), with a nilpotent ``epsilon`` marking the
-    subtrees that hold the second mark:
+    ``d``) and ``t`` (psi degree), kept in channels.  Channel 0 sums the
+    subtrees without the second mark, and channel ``c >= 1`` those that hold
+    it on label ``marks[c]``, the coefficient of a nilpotent ``epsilon``:
 
     * the children of a vertex are a multiset of subtrees, summed with
       ``1/|Aut|`` by the exponential formula.  With ``E`` the label's
       tangent Euler factor, ``pi_p = (1/omega_p) e^(t/omega_p)`` the parent
-      flag's series and ``X = E G0 / t``, ``Y_s = E G1_s / t`` the child
-      series without and with the second mark on label ``s``, a vertex with
-      ``r >= 2`` children integrates to ``[t^-2] pi_p X^r / (r(r-1))``.
-      Summed over ``r`` that is ``[t^-2] pi_p phi(X)`` with
-      ``phi' = Lambda = -log(1 - X)``; the marked part (``epsilon^2 = 0``)
-      is ``[t^-2] pi_p Y_s Lambda``, plus ``[t^-1] pi_p Lambda`` when the
-      second mark sits on the vertex, and at the root ``[t^-2] Y_s Lambda
-      / E``;
+      flag's series and ``Y_c = E G_c / t`` the child series of channel
+      ``c``, ``X = Y_0``, a vertex with ``r >= 2`` children integrates to
+      ``[t^-2] pi_p X^r / (r(r-1))``.  Summed over ``r`` that is ``[t^-2]
+      pi_p phi(X)`` with ``phi' = Lambda = -log(1 - X)``; in a channel
+      ``c >= 1`` (``epsilon^2 = 0``) it is ``[t^-2] pi_p Y_c Lambda``, plus
+      ``[t^-1] pi_p Lambda`` when the vertex's label is ``marks[c]``, and at
+      the root ``[t^-2] Y_c Lambda / E``;
     * order by order in ``q``, ``N Lambda_N = N X_N + sum_k k Lambda_k
-      X_(N-k)`` and, below t-degree -1, ``N phi_N = sum_k (N-k) Lambda_k
-      X_(N-k)``, so no row depends on ``r``;
-    * a bare leaf gives ``omega``, a marked leaf ``1`` and a two-valent node
+      X_(N-k)``.  ``X_N`` has no term below t-degree -1, so there ``phi_N
+      = sum_k Lambda_k X_(N-k) - Lambda_N``: every channel takes ``sum_k
+      Lambda_k Y_(c,N-k)``, and channel 0 subtracts ``Lambda_N``.  No row
+      depends on ``r``;
+    * a leaf gives ``omega`` in channel 0, ``1`` in the channel of its own
+      label and 0 in the others; a two-valent node gives
       ``E/(omega_p + omega_c)``.
 
     A row at order ``N`` keeps only the t-degrees that can still reach an
@@ -419,12 +411,12 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     gives the same value one graph at a time.
 
     One pass of the recursion serves every family on the same curves at the
-    same point, and every degree up to the pass's own.  The series without
-    the second mark do not depend on the marks; those with it depend only on
-    the second mark's label, so a punctual triangle needs two of them for
-    its three placements.  The forms a pass inverts depend only on the
-    curves and its degree, and a pass of degree ``D`` inverts all those of a
-    pass of degree ``d <= D``.  So the highest pass that succeeded at a
+    same point, and every degree up to the pass's own.  Channel 0 does not
+    depend on the marks, and a channel ``c >= 1`` only on the second mark's
+    label, so a punctual triangle needs two marked channels for its three
+    placements.  The forms a pass inverts depend only on the curves and its
+    degree, and a pass of degree ``D`` inverts all those of a pass of degree
+    ``d <= D``.  So the highest pass that succeeded at a
     point is kept and read for every degree up to it; a higher degree runs
     a new pass, and a pass that raises is not kept.
     """

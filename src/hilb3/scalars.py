@@ -52,11 +52,16 @@ class Weight:
     """Additive torus character ``a*w + b*z`` with exact rational coefficients.
 
     The coefficients are kept as given, ``int`` or ``Fraction``; evaluating at
-    a :class:`Specialization` makes the value a ``Fraction``.
+    a :class:`Specialization` makes the value a ``Fraction``.  A ``float``
+    coefficient raises ``TypeError``, as a ``float`` coordinate does.
     """
 
     a: int | Fraction
     b: int | Fraction
+
+    def __post_init__(self) -> None:
+        if isinstance(self.a, float) or isinstance(self.b, float):
+            raise TypeError(f"coefficients must be exact, got a={self.a!r}, b={self.b!r}")
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b)
@@ -236,8 +241,11 @@ def sample_specializations(
     so coordinates stay small and exact arithmetic stays fast.  Points where
     any forbidden weight vanishes are rejected and redrawn, up to a fixed
     resample budget.  The forms are reduced to integer pairs once per call, so
-    a draw costs one lookup however many forms there are.
+    a draw costs one lookup however many forms there are.  A count that is
+    not an ``int`` raises ``TypeError``: ``1.5`` would draw two points.
     """
+    if not isinstance(count, int):
+        raise TypeError(f"point count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"point count must not be negative, got {count}")
     rng = random.Random(seed)

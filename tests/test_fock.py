@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hilb3 import fock
 from hilb3.fock import (
     LINE,
     POINT,
@@ -236,13 +238,20 @@ def test_composition_law_consistency(d):
     assert wdvv_consistency(d, SCALED[:d])
 
 
-def test_composition_law_is_a_table_identity():
+@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=11))
+@settings(max_examples=50, deadline=None)
+def test_composition_law_is_a_table_identity(f):
     # The top three-point entry is derived by rearranging the composition
-    # law, so the consistency check holds for arbitrary inputs; this guards
-    # the algebra of the rearrangement itself.
-    arbitrary = [Fraction(5), Fraction(-7, 3), Fraction(11, 2)]
-    for d in (1, 2, 3):
-        assert wdvv_consistency(d, arbitrary[:d])
+    # law, so the consistency check holds for arbitrary inputs; it guards
+    # the algebra of the rearrangement, not the engine's values.
+    assert wdvv_consistency(len(f), f)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_composition_law_check_catches_a_wrong_top_entry(monkeypatch, d):
+    case_iv = fock._case_iv
+    monkeypatch.setattr(fock, "_case_iv", lambda d, f: case_iv(d, f) + 1)
+    assert not wdvv_consistency(d, SCALED[:d])
 
 
 @pytest.mark.parametrize("d, f", [(0, [-27]), (-1, [-27, 27])])

@@ -117,6 +117,9 @@ def test_two_point_pairing_validates_arguments():
         two_point_pairing(0)
     with pytest.raises(ValueError):
         two_point_pairing(1, num_points=0)
+    # 2.5 once evaluated three points.
+    with pytest.raises(TypeError, match="must be an int"):
+        two_point_pairing(1, num_points=2.5)
 
 
 def test_pair_sum_closed_form_samples():

@@ -356,6 +356,21 @@ def test_graph_sums_past_the_oracle_are_pinned():
             )
 
 
+def test_graph_sums_are_fractions_even_when_empty():
+    # The pass seeds its sums with ints; every value it returns, the empty
+    # families' zeros included, is still a Fraction.
+    points = sample_specializations(2, seed=5, forbidden=forbidden_weights(6))
+    zeros = []
+    for point in points:
+        for family in FAMILIES:
+            for d in range(6, 0, -1):
+                value = graph_sum(family, d, point)
+                assert type(value) is Fraction, (family.name, d)
+                if value == 0:
+                    zeros.append((family.name, d))
+    assert ("punctual(0;1,2)", 1) in zeros
+
+
 def test_failed_pass_is_not_stored():
     # 6w - z vanishes at (w, z) = (-1, -6).  It is a wall of degree 3 only,
     # and the degree-3 recursion on pair(1,0) inverts it.

@@ -206,3 +206,21 @@ def test_sampler_rejects_a_negative_count():
     with pytest.raises(ValueError, match="must not be negative"):
         sample_specializations(-3)
     assert sample_specializations(0) == []
+
+
+def test_weight_rejects_float_coefficients():
+    # Both once slipped through: evaluating gave the float 2.5, and the
+    # sampler failed in _walls on float.numerator.
+    with pytest.raises(TypeError, match="exact"):
+        Weight(0.5, 1)
+    with pytest.raises(TypeError, match="exact"):
+        Weight(1, 2.0)
+    assert evaluate_weight(Weight(Fraction(1, 2), 1), Specialization(1, 2)) == Fraction(5, 2)
+
+
+def test_sampler_rejects_a_non_integer_count():
+    # 1.5 once drew two points.
+    with pytest.raises(TypeError, match="must be an int"):
+        sample_specializations(1.5)
+    with pytest.raises(TypeError, match="must be an int"):
+        sample_specializations(Fraction(2))
