@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     Curve,
@@ -31,6 +31,7 @@ from .scalars import (
     Specialization,
     VirtualCharacter,
     Weight,
+    _parts,
     _walls,
     evaluate_weight,
     invertible,
@@ -235,42 +236,73 @@ def _flags(
     count = 0
     for curve in curves:
         for degree in range(1, top // curve.beta + 1):
-            share = 1 / (degree * edge_euler(curve, degree, point))
+            factor = edge_euler(curve, degree, point)
+            share = Fraction(factor.denominator, degree * factor.numerator)
             for end, label in enumerate(curve.endpoints):
-                tangent = evaluate_weight(curve.tangents[end], point)
-                inverse = degree / invertible(tangent, "flag weight", point)
-                series = tuple(inverse ** (s + 1) / math.factorial(s) for s in range(top + 1))
+                # omega = tangent/degree = num/den; each series entry
+                # omega^-(s+1)/s! is reduced once, from integers.
+                num, den = _parts(curve.tangents[end], point)
+                den *= degree
+                invertible(num, "flag weight", point)
+                series = tuple(
+                    Fraction(den ** (s + 1), num ** (s + 1) * math.factorial(s))
+                    for s in range(top + 1)
+                )
                 flags.setdefault(label, []).append(_Flag(
-                    count + end, count + 1 - end, curve.beta * degree, tangent / degree,
+                    count + end, count + 1 - end, curve.beta * degree, Fraction(num, den),
                     euler[label] * share, series,
                 ))
             count += 2
     for here in flags.values():
         here.sort(key=lambda f: f.cost)
         here[:] = [replace(p, nodes=tuple(
-            1 / invertible(p.weight + f.weight, "node smoothing weight", point)
-            for f in here if p.cost + f.cost <= top
+            _node(p.weight, f.weight, point) for f in here if p.cost + f.cost <= top
         )) for p in here]
     return flags, euler
 
 
-def _add_product(out: list, left: list, right: list, shift: int, scale: Rational = 1) -> None:
-    """Add ``scale * t^shift * left * right`` to ``out``, t-degrees below ``len(out)``."""
+def _node(omega: Rational, other: Rational, point: Specialization) -> Rational:
+    """The node factor ``1/(omega + other)``, reduced once."""
+    num = omega.numerator * other.denominator + other.numerator * omega.denominator
+    invertible(num, "node smoothing weight", point)
+    return Fraction(omega.denominator * other.denominator, num)
+
+
+def _total(terms: Iterable) -> Rational:
+    """The sum of ``terms``, started from the first one; ``0`` if there is none."""
+    terms = iter(terms)
+    total = next(terms, 0)
+    for term in terms:
+        total += term
+    return total
+
+
+def _add_product(
+    out: list, left: list, right: list, shift: int, scale: Rational | None = None
+) -> None:
+    """Add ``scale * t^shift * left * right`` to ``out``, t-degrees below ``len(out)``.
+
+    Only nonzero products are formed, ``scale`` multiplies only when given,
+    and an entry of ``out`` that is still zero takes its first product as is.
+    """
     for a, x in enumerate(left[:max(len(out) - shift, 0)]):
         if x:
-            x *= scale
-            for b, y in enumerate(right[:len(out) - shift - a]):
-                out[shift + a + b] += x * y
+            if scale is not None:
+                x *= scale
+            for n, y in enumerate(right[:len(out) - shift - a], shift + a):
+                if y:
+                    out[n] = out[n] + x * y if out[n] else x * y
 
 
 def _child_row(kids: list[_Flag], values: list, length: int) -> list:
     """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
-    return [sum(a * f.series[s] for f, a in zip(kids, values) if a) for s in range(length)]
+    return [_total(a * f.series[s] for f, a in zip(kids, values) if a) for s in range(length)]
 
 
-def _extract(row: list, parent: _Flag, e: int) -> Rational:
-    """``[t^e]`` of ``row`` times the parent flag's ``(1/omega) e^(t/omega)``."""
-    return sum(row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s])
+def _extract(row: list, parent: _Flag, e: int) -> list:
+    """The nonzero terms of ``[t^e]`` of ``row`` times the parent flag's
+    ``(1/omega) e^(t/omega)``."""
+    return [row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s]]
 
 
 def _recursion_pass(
@@ -318,37 +350,41 @@ def _recursion_pass(
             if order > tops[label]:
                 continue
             kids = [f for f in here if f.cost <= order]
-            values = [[f.edge * channel[f.far][order - f.cost] for f in kids] for channel in sums]
+            # A child subtree whose sum is zero adds nothing, so it is not multiplied.
+            values = [
+                [f.edge * m if (m := channel[f.far][order - f.cost]) else 0 for f in kids]
+                for channel in sums
+            ]
             row, log = rows[label], logs[label]
             for y, value in zip(row, values):
                 y.append(_child_row(kids, value, top - order))
-            # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k).
+            # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k); its row t^N Lambda_N
+            # starts as the row t X_N, raised by N - 1 t-degrees.
             x = row[0]
-            log.append([0] * tops[label])
-            _add_product(log[order], [1], x[order], order - 1)
+            log.append(([0] * (order - 1) + x[order] + [0])[:tops[label]])
             for k in range(1, order):
                 _add_product(log[order], log[k], x[order - k], order - k - 1, Fraction(k, order))
             # Below t-degree -1, sum_k Lambda_k Y_(c,N-k) in every channel.
-            # X_N has no term there, so channel 0 minus Lambda_N leaves
-            # phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
-            below = [[0] * (order - 1) for _ in marks]
+            # X_N has no term there, so channel 0, started from -Lambda_N,
+            # leaves phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
+            below = [[-q for q in log[order][:order - 1]]]
+            below += [[0] * (order - 1) for _ in marks[1:]]
             for out, y in zip(below, row):
                 for k in range(1, order):
                     _add_product(out, log[k], y[order - k], order - k - 1)
-            below[0] = [p - q for p, q in zip(below[0], log[order])]
             if label in firsts:
                 for c, mark in enumerate(marks[1:], 1):
-                    roots[label, mark][order] = sum(values[c] + below[c][-1:])
+                    roots[label, mark][order] = _total(v for v in values[c] + below[c][-1:] if v)
             for parent in here:
                 if order + parent.cost > top:
                     break
                 for c, mark in enumerate(marks):
                     # The kids are a prefix of the parent's nodes.
-                    value = sum(a * n for a, n in zip(values[c], parent.nodes) if a)
-                    value += _extract(below[c], parent, order - 2)
+                    terms = [a * n for a, n in zip(values[c], parent.nodes) if a]
+                    terms += _extract(below[c], parent, order - 2)
                     if label == mark:
-                        value += _extract(log[order], parent, order - 1)
-                    sums[c][parent.index][order] = value
+                        terms += _extract(log[order], parent, order - 1)
+                    sums[c][parent.index][order] = _total(terms)
     return {
         (first, second): tuple(value / euler[first] for value in roots[first, second][1:])
         for first, second in placements

@@ -40,8 +40,9 @@ class DegenerateSpecializationError(ArithmeticError):
     """
 
 
-def invertible(value: Fraction, what: str, point: "Specialization") -> Fraction:
-    """``value``, about to be inverted, or an error naming ``what`` if it is zero."""
+def invertible(value: int | Fraction, what: str, point: "Specialization") -> int | Fraction:
+    """``value``, or the integer numerator of a value, about to be inverted,
+    or an error naming ``what`` if it is zero."""
     if value == 0:
         raise DegenerateSpecializationError(f"{what} vanishes at w={point.w}, z={point.z}")
     return value
@@ -52,16 +53,19 @@ class Weight:
     """Additive torus character ``a*w + b*z`` with exact rational coefficients.
 
     The coefficients are kept as given, ``int`` or ``Fraction``; evaluating at
-    a :class:`Specialization` makes the value a ``Fraction``.  A ``float``
-    coefficient raises ``TypeError``, as a ``float`` coordinate does.
+    a :class:`Specialization` makes the value a ``Fraction``.  A ``float`` or
+    ``bool`` coefficient raises ``TypeError``, as such a coordinate does.
     """
 
     a: int | Fraction
     b: int | Fraction
 
     def __post_init__(self) -> None:
-        if isinstance(self.a, float) or isinstance(self.b, float):
-            raise TypeError(f"coefficients must be exact, got a={self.a!r}, b={self.b!r}")
+        if isinstance(self.a, (float, bool)) or isinstance(self.b, (float, bool)):
+            raise TypeError(
+                "coefficients must be exact numbers, not float or bool, "
+                f"got a={self.a!r}, b={self.b!r}"
+            )
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b)
@@ -91,15 +95,19 @@ class Specialization:
 
     The coordinates are made ``Fraction``s here, so every evaluated weight is
     one.  A ``float`` coordinate raises ``TypeError``: its binary expansion
-    would pass for the rational the caller meant.
+    would pass for the rational the caller meant.  So does a ``bool``, which
+    would pass for 0 or 1.
     """
 
     w: Fraction
     z: Fraction
 
     def __post_init__(self) -> None:
-        if isinstance(self.w, float) or isinstance(self.z, float):
-            raise TypeError(f"coordinates must be exact, got w={self.w!r}, z={self.z!r}")
+        if isinstance(self.w, (float, bool)) or isinstance(self.z, (float, bool)):
+            raise TypeError(
+                "coordinates must be exact numbers, not float or bool, "
+                f"got w={self.w!r}, z={self.z!r}"
+            )
         object.__setattr__(self, "w", Fraction(self.w))
         object.__setattr__(self, "z", Fraction(self.z))
 
@@ -107,9 +115,21 @@ class Specialization:
         return format_rational(self.w), format_rational(self.z)
 
 
+def _parts(weight: Weight, point: Specialization) -> tuple[int, int]:
+    """Integer numerator and positive denominator of ``a*w + b*z``, not reduced."""
+    a, b, w, z = weight.a, weight.b, point.w, point.z
+    ad, bd, wd, zd = a.denominator, b.denominator, w.denominator, z.denominator
+    numerator = a.numerator * w.numerator * bd * zd + b.numerator * z.numerator * ad * wd
+    return numerator, ad * bd * wd * zd
+
+
 def evaluate_weight(weight: Weight, point: Specialization) -> Fraction:
-    """Evaluate ``a*w + b*z`` at the given point."""
-    return weight.a * point.w + weight.b * point.z
+    """Evaluate ``a*w + b*z`` at the given point.
+
+    The value is formed from the integer numerators and denominators of the
+    coefficients and coordinates, and reduced once, into one ``Fraction``.
+    """
+    return Fraction(*_parts(weight, point))
 
 
 class VirtualCharacter:
@@ -166,12 +186,21 @@ class VirtualCharacter:
         """Product of evaluated weights with their signed multiplicities.
 
         Requires every weight to be nonzero at the point; a vanishing one
-        means the point is degenerate for this character.
+        means the point is degenerate for this character, and raises before
+        anything is inverted.  Each weight's integer numerator and denominator
+        go, raised to its multiplicity, into one integer numerator and one
+        denominator, which are reduced once, at the end.
         """
-        result = Fraction(1)
+        numerator = denominator = 1
         for weight, mult in self._terms.items():
-            result *= invertible(evaluate_weight(weight, point), f"weight {weight}", point) ** mult
-        return result
+            num, den = _parts(weight, point)
+            if not num:  # the message is built only for a weight that vanishes
+                invertible(num, f"weight {weight}", point)
+            if mult < 0:
+                num, den, mult = den, num, -mult
+            numerator *= num**mult
+            denominator *= den**mult
+        return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
@@ -242,9 +271,10 @@ def sample_specializations(
     any forbidden weight vanishes are rejected and redrawn, up to a fixed
     resample budget.  The forms are reduced to integer pairs once per call, so
     a draw costs one lookup however many forms there are.  A count that is
-    not an ``int`` raises ``TypeError``: ``1.5`` would draw two points.
+    not an ``int`` raises ``TypeError``: ``1.5`` would draw two points.  So
+    does a ``bool``: ``True`` would draw one.
     """
-    if not isinstance(count, int):
+    if not isinstance(count, int) or isinstance(count, bool):
         raise TypeError(f"point count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"point count must not be negative, got {count}")

@@ -371,6 +371,21 @@ def test_graph_sums_are_fractions_even_when_empty():
     assert ("punctual(0;1,2)", 1) in zeros
 
 
+def test_recursion_matches_the_oracle_where_denominators_are_composite_and_shared():
+    # Sampled points have prime denominators.  Here 35 and 21 share the
+    # factor 7, and weights and Euler factors are formed from unreduced
+    # integer parts and reduced once; every sum must still be the oracle's.
+    point = Specialization(Fraction(-6, 35), Fraction(10, 21))
+    assert 0 not in (point.w, point.z, point.w - point.z)
+    assert all(evaluate_weight(form, point) != 0 for form in forbidden_weights(3))
+    _clear_sums()
+    for d in (1, 2, 3):
+        for family in FAMILIES:
+            value = graph_sum(family, d, point)
+            assert type(value) is Fraction, (family.name, d)
+            assert value == _enumerated_sum(family, d, point), (family.name, d)
+
+
 def test_failed_pass_is_not_stored():
     # 6w - z vanishes at (w, z) = (-1, -6).  It is a wall of degree 3 only,
     # and the degree-3 recursion on pair(1,0) inverts it.

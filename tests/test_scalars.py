@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from hilb3 import scalars
 from hilb3.geometry import curve_catalog, fixed_points, tangent_character, taut_c1
+from hilb3.invariants import two_point_pairing
 from hilb3.localization import edge_character, forbidden_weights
 from hilb3.scalars import (
     DegenerateSpecializationError,
@@ -224,3 +225,72 @@ def test_sampler_rejects_a_non_integer_count():
         sample_specializations(1.5)
     with pytest.raises(TypeError, match="must be an int"):
         sample_specializations(Fraction(2))
+
+
+def test_bools_are_rejected_where_floats_are():
+    # Each once passed for 0 or 1: Weight(True, False) printed as
+    # "True*w + False*z", and a count of True drew one point.
+    with pytest.raises(TypeError, match="exact"):
+        Weight(True, 0)
+    with pytest.raises(TypeError, match="exact"):
+        Weight(1, False)
+    with pytest.raises(TypeError, match="exact"):
+        Specialization(True, 2)
+    with pytest.raises(TypeError, match="exact"):
+        Specialization(1, False)
+    with pytest.raises(TypeError, match="must be an int"):
+        sample_specializations(True)
+    with pytest.raises(TypeError, match="must be an int"):
+        two_point_pairing(2, num_points=True)
+
+
+# Coefficients of every kind the engine builds: ints, zeros and fractions.
+coefficients = st.one_of(
+    st.integers(-30, 30), st.just(0), st.fractions(-30, 30, max_denominator=12)
+)
+
+
+@st.composite
+def points(draw):
+    """Nonzero coordinates with composite denominators, often a shared one."""
+    numerators = st.integers(-99, 99).filter(bool)
+    denominators = st.sampled_from([1, 4, 6, 10, 12, 15, 21, 35, 36, 77])
+    w_den = draw(denominators)
+    z_den = draw(st.one_of(st.just(w_den), denominators))
+    return Specialization(
+        Fraction(draw(numerators), w_den), Fraction(draw(numerators), z_den)
+    )
+
+
+@given(coefficients, coefficients, points())
+def test_integer_evaluation_is_fraction_arithmetic(a, b, point):
+    value = evaluate_weight(Weight(a, b), point)
+    assert type(value) is Fraction
+    assert value == a * point.w + b * point.z
+
+
+@given(st.lists(st.tuples(coefficients, coefficients, st.integers(-3, 3)), max_size=6), points())
+def test_euler_is_the_fraction_product_of_its_weights(terms, point):
+    merged = {}
+    for a, b, mult in terms:
+        merged[Weight(a, b)] = merged.get(Weight(a, b), 0) + mult
+    values = {w: w.a * point.w + w.b * point.z for w, m in merged.items() if m}
+    char = VirtualCharacter((Weight(a, b), mult) for a, b, mult in terms)
+    if 0 in values.values():
+        with pytest.raises(DegenerateSpecializationError, match="vanishes"):
+            char.euler(point)
+        return
+    expected = Fraction(1)
+    for weight, value in values.items():
+        expected *= value ** merged[weight]
+    result = char.euler(point)
+    assert type(result) is Fraction
+    assert result == expected
+
+
+def test_vanishing_weight_names_itself_and_the_point():
+    point = Specialization(Fraction(-6, 35), Fraction(-6, 35))
+    char = VirtualCharacter([(Weight(2, 1), 1), (Weight(Fraction(1, 2), Fraction(-1, 2)), -2)])
+    with pytest.raises(DegenerateSpecializationError) as caught:
+        char.euler(point)
+    assert str(caught.value) == "weight 1/2*w + -1/2*z vanishes at w=-6/35, z=-6/35"
