@@ -172,6 +172,9 @@ def _materialize(
 ) -> StableGraph:
     """Lay an encoding out as a graph, vertices in depth-first preorder.
 
+    The layout runs on an explicit stack, so it leaves no reference cycle
+    behind for the cyclic collector.
+
     ``curves`` maps the family's curve names to curves; ``shared`` holds the
     edge records already built in this enumeration, so equal edges of
     different graphs are one object.
@@ -179,23 +182,23 @@ def _materialize(
     vertices: list[FixedPoint] = []
     edges: list[Edge] = []
     second = -1
-
-    def walk(node: tuple) -> None:
-        nonlocal second
-        label, marked, children = node
+    # Each entry is a subtree still to lay out, with the vertex it hangs
+    # from and the curve and degree of the edge to it.  Children are pushed
+    # last first, so they are popped, and numbered, in order.
+    stack: list[tuple] = [(-1, "", 0, encoding)]
+    while stack:
+        parent, curve_name, degree, (label, marked, children) = stack.pop()
         index = len(vertices)
         vertices.append(label)
         if marked:
             second = index
-        for curve_name, degree, child in children:
-            key = (index, len(vertices), curve_name, degree)
+        if parent >= 0:
+            key = (parent, index, curve_name, degree)
             edge = shared.get(key)
             if edge is None:
-                edge = shared[key] = Edge(index, len(vertices), curves[curve_name], degree)
+                edge = shared[key] = Edge(parent, index, curves[curve_name], degree)
             edges.append(edge)
-            walk(child)
-
-    walk(encoding)
+        stack += [(index, name, deg, child) for name, deg, child in reversed(children)]
     if second < 0:
         raise ValueError("encoding carries no second mark")
     return StableGraph(tuple(vertices), tuple(edges), (0, second))

@@ -268,13 +268,25 @@ def _node(omega: Rational, other: Rational, point: Specialization) -> Rational:
     return Fraction(omega.denominator * other.denominator, num)
 
 
-def _total(terms: Iterable) -> Rational:
-    """The sum of ``terms``, started from the first one; ``0`` if there is none."""
-    terms = iter(terms)
-    total = next(terms, 0)
-    for term in terms:
-        total += term
-    return total
+def _dot(pairs: Iterable[tuple[Rational, Rational]]) -> Rational:
+    """The exact sum of ``x * y`` over ``pairs``; the int ``0`` when it vanishes.
+
+    The sum is formed from the operands' integer numerators and denominators
+    over an lcm denominator, at most one gcd per term, and reduced once,
+    into one ``Fraction``.  This is the pass's only multiply-accumulate.
+    """
+    num, den = 0, 1
+    for x, y in pairs:
+        n = x.numerator * y.numerator
+        if n:
+            d = x.denominator * y.denominator
+            if d == den:
+                num += n
+            else:
+                g = math.gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den *= d // g
+    return Fraction(num, den) if num else 0
 
 
 def _add_product(
@@ -282,27 +294,29 @@ def _add_product(
 ) -> None:
     """Add ``scale * t^shift * left * right`` to ``out``, t-degrees below ``len(out)``.
 
-    Only nonzero products are formed, ``scale`` multiplies only when given,
-    and an entry of ``out`` that is still zero takes its first product as is.
+    Each entry of ``out`` takes the sum of its products in one :func:`_dot`,
+    which ``scale``, when given, multiplies once.
     """
-    for a, x in enumerate(left[:max(len(out) - shift, 0)]):
-        if x:
+    for n in range(shift, len(out)):
+        m = n - shift
+        low = max(m + 1 - len(right), 0)
+        total = _dot(zip(left[low:m + 1], right[m - low::-1]))
+        if total:
             if scale is not None:
-                x *= scale
-            for n, y in enumerate(right[:len(out) - shift - a], shift + a):
-                if y:
-                    out[n] = out[n] + x * y if out[n] else x * y
+                total *= scale
+            out[n] = out[n] + total if out[n] else total
 
 
 def _child_row(kids: list[_Flag], values: list, length: int) -> list:
     """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
-    return [_total(a * f.series[s] for f, a in zip(kids, values) if a) for s in range(length)]
+    live = [(a, f.series) for f, a in zip(kids, values) if a]
+    return [_dot((a, series[s]) for a, series in live) for s in range(length)]
 
 
 def _extract(row: list, parent: _Flag, e: int) -> list:
-    """The nonzero terms of ``[t^e]`` of ``row`` times the parent flag's
-    ``(1/omega) e^(t/omega)``."""
-    return [row[s] * parent.series[e - s] for s in range(min(e + 1, len(row))) if row[s]]
+    """The pairs whose products sum to ``[t^e]`` of ``row`` times the parent
+    flag's ``(1/omega) e^(t/omega)``."""
+    return list(zip(row[:e + 1], parent.series[e::-1]))
 
 
 def _recursion_pass(
@@ -374,17 +388,17 @@ def _recursion_pass(
                     _add_product(out, log[k], y[order - k], order - k - 1)
             if label in firsts:
                 for c, mark in enumerate(marks[1:], 1):
-                    roots[label, mark][order] = _total(v for v in values[c] + below[c][-1:] if v)
+                    roots[label, mark][order] = _dot((v, 1) for v in values[c] + below[c][-1:])
             for parent in here:
                 if order + parent.cost > top:
                     break
                 for c, mark in enumerate(marks):
                     # The kids are a prefix of the parent's nodes.
-                    terms = [a * n for a, n in zip(values[c], parent.nodes) if a]
-                    terms += _extract(below[c], parent, order - 2)
+                    pairs = list(zip(values[c], parent.nodes))
+                    pairs += _extract(below[c], parent, order - 2)
                     if label == mark:
-                        terms += _extract(log[order], parent, order - 1)
-                    sums[c][parent.index][order] = _total(terms)
+                        pairs += _extract(log[order], parent, order - 1)
+                    sums[c][parent.index][order] = _dot(pairs)
     return {
         (first, second): tuple(value / euler[first] for value in roots[first, second][1:])
         for first, second in placements

@@ -7,6 +7,7 @@ enumerator under test and is feasible for small degrees, which is exactly
 where the enumerator's recursion could plausibly go wrong.
 """
 
+import gc
 import heapq
 import itertools
 
@@ -277,6 +278,19 @@ def test_enumerated_graphs_share_edge_records():
     graphs = enumerate_graphs(pair_family(0, 1), 4)
     edges = [e for g in graphs for e in g.edges]
     assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # The uncached enumeration lays every graph out afresh; with the
+    # collector paused, anything it left in a cycle would still be there.
+    gc.collect()
+    gc.disable()
+    try:
+        graphs = enumerate_graphs.__wrapped__(punctual_family(0, 0, 1), 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert graphs == enumerate_graphs(punctual_family(0, 0, 1), 4)
 
 
 @pytest.mark.parametrize(

@@ -160,10 +160,14 @@ def test_family_term_closed_is_what_the_engine_sums():
         assert punctual_family_term(2, i, point) == family_term_closed(2, i, point)
 
 
-@pytest.mark.parametrize("d, expected", [(7, Fraction(-27)), (8, Fraction(27))])
+@pytest.mark.parametrize(
+    "d, expected", [(7, Fraction(-27)), (8, Fraction(27)), (12, Fraction(-54))]
+)
 def test_observed_pattern_f_of_d_plus_3_is_minus_f_of_d(d, expected):
     # An observed pattern of the engine's values, not a result of the paper:
     # f(d) = d * invariant reads -27, 27, 54, 27, -27, -54, ... and so far
-    # f(d + 3) = -f(d).  These pins hold it at f(7) = -f(4) and
-    # f(8) = -f(5), each checked constant across two specializations.
+    # f(d + 3) = -f(d).  These pins hold it at f(7) = -f(4),
+    # f(8) = -f(5) and f(12) = -f(9) = f(6), each checked constant across
+    # two specializations.  At d = 12 the pass's sums reach about 170
+    # digits, so this pin also holds them exact where they are large.
     assert two_point_pairing(d, num_points=2).scaled == expected

@@ -27,6 +27,7 @@ from hilb3 import localization, scalars
 from hilb3.cli import main
 from hilb3.invariants import verify_identities
 from hilb3.localization import (
+    _dot,
     _stored_pass,
     edge_character,
     edge_euler,
@@ -384,6 +385,70 @@ def test_recursion_matches_the_oracle_where_denominators_are_composite_and_share
             value = graph_sum(family, d, point)
             assert type(value) is Fraction, (family.name, d)
             assert value == _enumerated_sum(family, d, point), (family.name, d)
+
+
+def _fraction_dot(pairs):
+    """The sum of ``x * y`` in plain Fraction arithmetic, one reduction per step."""
+    return sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(2, Fraction(1, 3)), (Fraction(-5, 6), 4), (3, 7), (1, 1)],
+        [
+            (Fraction(1, 6), Fraction(5, 7)),
+            (Fraction(-1, 6), Fraction(2, 7)),
+            (Fraction(1, 2), Fraction(3, 7)),
+        ],
+        [(Fraction(7, 10), Fraction(3, 4)), (0, Fraction(9, 11)), (Fraction(-2, 15), 5)],
+    ],
+    ids=["mixed-ints", "equal-denominators", "zero-operand"],
+)
+def test_dot_is_fraction_arithmetic_on_small_cases(pairs):
+    value = _dot(pairs)
+    assert type(value) is Fraction
+    assert value == _fraction_dot(pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [],
+        [(0, Fraction(2, 3)), (Fraction(5, 7), 0)],
+        [(Fraction(1, 6), Fraction(5, 7)), (Fraction(-5, 6), Fraction(1, 7))],
+        [
+            (Fraction(2, 3), Fraction(9, 4)),
+            (-3, Fraction(1, 2)),
+            (Fraction(7, 5), Fraction(0)),
+            (Fraction(-1, 9), 27),
+            (Fraction(3, 4), 4),
+        ],
+    ],
+    ids=["empty", "zero-operands", "equal-denominators", "mixed-denominators"],
+)
+def test_dot_gives_a_falsy_zero_when_the_terms_cancel(pairs):
+    assert _fraction_dot(pairs) == 0
+    value = _dot(pairs)
+    assert not value
+    assert value == 0
+
+
+# Operands of every kind the pass multiplies: ints, zeros and fractions.
+operands = st.one_of(
+    st.integers(-30, 30), st.just(0), st.fractions(-30, 30, max_denominator=60)
+)
+
+
+@given(st.lists(st.tuples(operands, operands), max_size=12))
+def test_dot_is_fraction_arithmetic(pairs):
+    value = _dot(pairs)
+    expected = _fraction_dot(pairs)
+    assert value == expected
+    if expected:
+        assert type(value) is Fraction
+    else:
+        assert not value
 
 
 def test_failed_pass_is_not_stored():
