@@ -20,7 +20,6 @@ from .scalars import (
     VirtualCharacter,
     Weight,
     format_rational,
-    parse_rational,
     sample_specializations,
 )
 from .geometry import Curve, FixedPoint, curve_catalog, fixed_points, tangent_character
@@ -74,7 +73,6 @@ __all__ = [
     "one_point",
     "pair_family",
     "pairing",
-    "parse_rational",
     "punctual_family",
     "reproduce",
     "sample_specializations",

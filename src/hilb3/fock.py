@@ -13,13 +13,12 @@ input rather than computing them, so everything here is pure algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .scalars import Rational, format_rational
+from .scalars import Rational, format_rational, positive_degree
 
 POINT = "point"
 LINE = "line"
@@ -276,8 +275,7 @@ def dual_basis(degree: int) -> tuple[FockVector, ...]:
 
 def one_point(mono: Monomial, d: int) -> Fraction:
     """One-point count of the dual of a middle-degree basis monomial."""
-    if d < 1:
-        raise ValueError("degree must be positive")
+    positive_degree(d)
     members = {v.items()[0][0] for v in basis(4)}
     if mono not in members:
         raise ValueError("monomial is not a middle-degree basis element")
@@ -296,8 +294,7 @@ def two_point_table(d: int, f_d: Rational) -> dict[tuple[Monomial, Monomial], Fr
     ``f_d`` is the degree-scaled engine value for this ``d``; exactly three
     entries are nonzero.
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
+    positive_degree(d)
     sixes = _basis_monomials(6)
     eights = _basis_monomials(8)
     table = {(c, b): Fraction(0) for c in sixes for b in eights}
@@ -308,8 +305,7 @@ def two_point_table(d: int, f_d: Rational) -> dict[tuple[Monomial, Monomial], Fr
 
 
 def _case_iv(d: int, f: Sequence[Rational]) -> Fraction:
-    if d < 1:
-        raise ValueError("degree must be positive")
+    positive_degree(d)
     value = Fraction(-162) - 15 * Fraction(f[d - 1])
     value += 6 * sum(Fraction(f[d1 - 1]) for d1 in range(1, d))
     value += Fraction(1, 3) * sum(
@@ -326,8 +322,7 @@ def three_point_table(
     ``f`` lists the degree-scaled engine values f(1) through f(d); four
     entries are nonzero.
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
+    positive_degree(d)
     if len(f) < d:
         raise ValueError(f"need f values for every degree up to {d}")
     eights = _basis_monomials(8)
@@ -412,37 +407,4 @@ def cubic_class() -> FockVector:
         - Fraction(1, 2) * c[5]
         + 3 * c[1]
         + Fraction(3, 2) * c[4]
-    )
-
-
-def incidence_square() -> FockVector:
-    """Square of the line-incidence divisor, in the degree-8 basis."""
-    return basis(8)[3] + Fraction(1, 2) * basis(8)[4]
-
-
-@dataclass(frozen=True)
-class CupIdentity:
-    """A recorded product expansion: description plus its monomial form."""
-
-    label: str
-    expansion: FockVector
-
-
-def cup_identities() -> tuple[CupIdentity, ...]:
-    """The recorded cup-product expansions, as verbatim data."""
-    four = basis(4)
-    return (
-        CupIdentity("untwisted tautological divisor", taut_divisor(0)),
-        CupIdentity("once-twisted tautological divisor", taut_divisor(1)),
-        CupIdentity("line-incidence divisor squared", incidence_square()),
-        CupIdentity("untwisted tautological divisor squared", base_square()),
-        CupIdentity("twist difference times squared untwisted divisor", cubic_class()),
-        CupIdentity(
-            "incidence divisor squared cupped with a_{-1}(X)a_{-2}(ell)",
-            four[1] + 4 * four[3],
-        ),
-        CupIdentity(
-            "a_{-1}(X)^2a_{-1}(pt) cupped with a_{-1}(X)a_{-2}(ell)",
-            2 * four[1],
-        ),
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import Curve, FixedPoint, curve_catalog, fixed_points, pair_curve, punctual_curve
+from .scalars import positive_degree
 
 __all__ = [
     "Edge",
@@ -55,9 +56,6 @@ class StableGraph:
     vertices: tuple[FixedPoint, ...]
     edges: tuple[Edge, ...]
     marks: tuple[int, int]
-
-    def degree(self) -> int:
-        return sum(e.curve.beta * e.degree for e in self.edges)
 
     def mark_count(self, vertex: int) -> int:
         return (self.marks[0] == vertex) + (self.marks[1] == vertex)
@@ -204,15 +202,14 @@ def _materialize(
     return StableGraph(tuple(vertices), tuple(edges), (0, second))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
     """One representative per isomorphism class with total curve degree ``d``.
 
     The first mark always sits at vertex 0 and carries the smaller of the
     family's two mark labels, which normalizes the mark swap.
     """
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
+    positive_degree(d)
     curves = {curve.name: curve for curve in family.curves}
     shared: dict[tuple, Edge] = {}
     graphs = [

@@ -43,6 +43,7 @@ from .scalars import (
     Specialization,
     evaluate_weight,
     format_rational,
+    positive_degree,
     sample_specializations,
 )
 
@@ -142,8 +143,7 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
     Raises :class:`ConsistencyError` if the totals differ.  With one point
     nothing is compared, and the result's ``verified_constant`` is false.
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
+    positive_degree(d)
     if num_points < 1:
         raise ValueError("need at least one specialization")
     points = sample_specializations(num_points, seed=seed, forbidden=forbidden_weights(d))
@@ -321,7 +321,7 @@ def verify_identities(
     Returns one record per identity; failures carry the first offending
     specialization.  All comparisons are exact.
     """
-    if not 1 <= d_max <= RECORDED_TOP_DEGREE:
+    if positive_degree(d_max) > RECORDED_TOP_DEGREE:
         raise ValueError(f"closed forms cover degrees 1 through {RECORDED_TOP_DEGREE} only")
     if num_specs < 1:
         raise ValueError("need at least one specialization")

@@ -35,6 +35,7 @@ from .scalars import (
     _walls,
     evaluate_weight,
     invertible,
+    positive_degree,
 )
 
 # Bounds of the caches keyed by a Specialization.  ``hilb3 verify --dmax 4
@@ -419,7 +420,7 @@ def _stored_pass(curves: tuple[Curve, ...], point: Specialization) -> _Pass:
     return _Pass()
 
 
-@lru_cache(maxsize=_GRAPH_SUM_CACHE_SIZE)
+@lru_cache(maxsize=_GRAPH_SUM_CACHE_SIZE, typed=True)
 def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     """Sum the contributions of every degree-``d`` stable graph in a family.
 
@@ -470,8 +471,7 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     point is kept and read for every degree up to it; a higher degree runs
     a new pass, and a pass that raises is not kept.
     """
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
+    positive_degree(d)
     stored = _stored_pass(family.curves, point)
     if stored.top < d:
         stored.totals, stored.top = _recursion_pass(family.curves, d, point), d
@@ -479,7 +479,7 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     return stored.totals[tuple(sorted(family.mark_labels))][d - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def forbidden_weights(d_max: int) -> tuple[Weight, ...]:
     """Every wall on which a form inverted in a degree <= ``d_max`` sum vanishes.
 
@@ -492,8 +492,7 @@ def forbidden_weights(d_max: int) -> tuple[Weight, ...]:
     factors of :func:`edge_euler_closed`, each ``d`` times a pair curve's
     shifted edge weight.
     """
-    if d_max < 1:
-        raise ValueError(f"degree must be positive, got {d_max}")
+    positive_degree(d_max)
     forms = [
         weight
         for curve in curve_catalog()

@@ -27,7 +27,7 @@ __all__ = [
     "invertible",
     "evaluate_weight",
     "format_rational",
-    "parse_rational",
+    "positive_degree",
     "sample_specializations",
 ]
 
@@ -79,14 +79,8 @@ class Weight:
     def scaled(self, factor: Fraction | int) -> "Weight":
         return Weight(self.a * factor, self.b * factor)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __str__(self) -> str:
         return f"{self.a}*w + {self.b}*z"
-
-
-ZERO_WEIGHT = Weight(0, 0)
 
 
 @dataclass(frozen=True)
@@ -136,8 +130,8 @@ class VirtualCharacter:
     """Formal integer combination of weights (a virtual torus representation).
 
     Stored as a mapping from :class:`Weight` to a signed multiplicity.
-    Zero-weight summands are the trivial (non-moving) directions;
-    :meth:`moving_part` drops them, and :meth:`euler` rejects them.
+    Zero-weight summands are the trivial (non-moving) directions, and
+    :meth:`euler` rejects them.
     """
 
     __slots__ = ("_terms",)
@@ -155,32 +149,10 @@ class VirtualCharacter:
     def items(self) -> list[tuple[Weight, int]]:
         return sorted(self._terms.items(), key=lambda kv: (kv[0].a, kv[0].b, kv[1]))
 
-    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        return VirtualCharacter(list(self._terms.items()) + list(other._terms.items()))
-
-    def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        negated = [(w, -m) for w, m in other._terms.items()]
-        return VirtualCharacter(list(self._terms.items()) + negated)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualCharacter):
             return NotImplemented
         return self._terms == other._terms
-
-    def __len__(self) -> int:
-        return sum(abs(m) for m in self._terms.values())
-
-    def multiplicity(self, weight: Weight) -> int:
-        return self._terms.get(weight, 0)
-
-    def rank(self) -> int:
-        """Virtual rank (signed count of weights, trivial ones included)."""
-        return sum(self._terms.values())
-
-    def moving_part(self) -> "VirtualCharacter":
-        return VirtualCharacter(
-            (w, m) for w, m in self._terms.items() if not w.is_zero()
-        )
 
     def euler(self, point: Specialization) -> Fraction:
         """Product of evaluated weights with their signed multiplicities.
@@ -211,8 +183,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+def positive_degree(d: int) -> int:
+    """``d``, if it is a curve degree: an ``int``, not a ``bool``, and at least 1.
+
+    Any other type raises ``TypeError``: ``2.5`` would make a count a float
+    and ``True`` would pass for 1.  The caches of the entry points that call
+    this are typed, so ``True`` never hits the entry stored for 1.
+    """
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise TypeError(f"degree must be an int, got {d!r}")
+    if d < 1:
+        raise ValueError(f"degree must be positive, got {d}")
+    return d
 
 
 def _primes_up_to(bound: int) -> tuple[int, ...]:

@@ -17,13 +17,11 @@ from hilb3.fock import (
     basis,
     contracted_class,
     cubic_class,
-    cup_identities,
     dual_basis,
     format_monomial,
     fundamental_class,
     gram_matrix,
     incidence_divisor,
-    incidence_square,
     invert_matrix,
     monomial,
     one_point,
@@ -273,16 +271,6 @@ def test_divisor_expansions_pair_correctly():
     assert pairing(half_diagonal(), contracted_class()) == -1
 
 
-def test_cup_identities_are_recorded():
-    records = cup_identities()
-    assert len(records) == 7
-    labels = [r.label for r in records]
-    assert len(set(labels)) == 7
-    for record in records:
-        assert isinstance(record.expansion, FockVector)
-        assert record.expansion
-
-
 def test_bilinear_reduction_reproduces_engine_pairing():
     # Expanding the cubic insertion class and the squared divisor class in
     # the fixed bases and contracting against the two-point table must give
@@ -297,12 +285,3 @@ def test_bilinear_reduction_reproduces_engine_pairing():
             for (cm, bm), value in table.items()
         )
         assert total == expected[d]
-
-
-def test_incidence_square_expansion_is_consistent():
-    # The recorded expansion of the squared incidence divisor pairs against
-    # the degree-4 dual basis the same way the raw vector does.
-    square = incidence_square()
-    for dual in dual_basis(8):
-        assert pairing(square, dual) == pairing(incidence_square(), dual)
-    assert square.coefficient(monomial((1, SURFACE), (1, LINE), (1, LINE))) == 1

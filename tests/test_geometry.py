@@ -53,11 +53,11 @@ def test_fixed_point_census():
 
 def test_tangent_characters_have_rank_six():
     for point in fixed_points():
-        char = tangent_character(point)
-        assert char.rank() == 6
+        terms = tangent_character(point).items()
+        assert sum(mult for _, mult in terms) == 6
         # A torus-fixed point of an isolated fixed locus has no trivial
         # tangent directions.
-        assert char.moving_part() == char
+        assert all(weight != Weight(0, 0) for weight, _ in terms)
 
 
 @pytest.mark.parametrize("chart", [3, -1])
@@ -111,7 +111,7 @@ def test_curve_tangents_sit_inside_endpoint_tangent_spaces():
     for curve in curve_catalog():
         for endpoint in curve.endpoints:
             weight = curve.tangent_at(endpoint)
-            assert tangent_character(endpoint).multiplicity(weight) >= 1
+            assert dict(tangent_character(endpoint).items()).get(weight, 0) >= 1
 
 
 def test_curve_tangents_at_opposite_ends_oppose():

@@ -235,7 +235,7 @@ def test_graph_shape_properties(family, d):
     graphs = enumerate_graphs(family, d)
     seen = set()
     for graph in graphs:
-        assert graph.degree() == d
+        assert sum(e.curve.beta * e.degree for e in graph.edges) == d
         # Trees: one more vertex than edge, and connectivity comes with it.
         assert len(graph.vertices) == len(graph.edges) + 1
         assert graph.vertices[graph.marks[0]] == family.mark_labels[0]

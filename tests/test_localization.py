@@ -41,6 +41,7 @@ from hilb3.localization import (
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
+    Weight,
     evaluate_weight,
     sample_specializations,
 )
@@ -134,15 +135,14 @@ def test_edge_character_ranks():
     # one less than the dimension of the ambient space.
     for curve in curve_catalog():
         for degree in (1, 2, 3, 4):
-            assert edge_character(curve, degree).rank() == 5
+            assert sum(mult for _, mult in edge_character(curve, degree).items()) == 5
 
 
 def test_covering_characters_have_no_trivial_summand():
     # edge_euler takes the Euler class of the whole character.
     for curve in curve_catalog():
         for degree in range(1, 21):
-            character = edge_character(curve, degree)
-            assert character == character.moving_part()
+            assert all(w != Weight(0, 0) for w, _ in edge_character(curve, degree).items())
 
 
 def test_edge_euler_matches_closed_form_everywhere():
@@ -188,7 +188,7 @@ def test_degenerate_specialization_is_detected():
 def test_forbidden_weights_census():
     weights = forbidden_weights(4)
     assert len(weights) == 66
-    assert all(not w.is_zero() for w in weights)
+    assert Weight(0, 0) not in weights
     # Growing the degree bound only adds new walls.
     assert set(forbidden_weights(2)) <= set(weights)
 

@@ -5,19 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hilb3 import scalars
+from hilb3 import fock, scalars
 from hilb3.geometry import curve_catalog, fixed_points, tangent_character, taut_c1
-from hilb3.invariants import two_point_pairing
-from hilb3.localization import edge_character, forbidden_weights
+from hilb3.graphs import enumerate_graphs, pair_family
+from hilb3.invariants import two_point_pairing, verify_identities
+from hilb3.localization import edge_character, forbidden_weights, graph_sum
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
     VirtualCharacter,
     Weight,
-    ZERO_WEIGHT,
     evaluate_weight,
     format_rational,
-    parse_rational,
     sample_specializations,
 )
 
@@ -32,14 +31,12 @@ def test_weight_algebra_small_cases():
     assert a - b == Weight(2, -1)
     assert -a == Weight(-1, -2)
     assert a.scaled(Fraction(3, 2)) == Weight(Fraction(3, 2), 3)
-    assert ZERO_WEIGHT.is_zero()
-    assert not a.is_zero()
 
 
 @given(weights, weights)
 def test_weight_addition_roundtrip(a, b):
     assert (a + b) - b == a
-    assert a + (-a) == ZERO_WEIGHT
+    assert a + (-a) == Weight(0, 0)
 
 
 def test_weight_strings_are_readable():
@@ -50,31 +47,23 @@ def test_weight_strings_are_readable():
 def test_evaluate_weight():
     point = Specialization(Fraction(1), Fraction(3))
     assert evaluate_weight(Weight(2, -1), point) == -1
-    assert evaluate_weight(ZERO_WEIGHT, point) == 0
+    assert evaluate_weight(Weight(0, 0), point) == 0
 
 
 def test_character_multiset_semantics():
     a, b = Weight(1, 0), Weight(0, 1)
     char = VirtualCharacter([(a, 2), (b, -1)])
-    assert char.multiplicity(a) == 2
-    assert char.multiplicity(b) == -1
-    assert char.rank() == 1
-    # Adding the negation cancels to the empty character.
-    assert char + VirtualCharacter([(a, -2), (b, 1)]) == VirtualCharacter([])
-    assert len(VirtualCharacter([])) == 0
+    assert char.items() == [(b, -1), (a, 2)]
+    # Terms with their negations cancel to the empty character.
+    assert VirtualCharacter([(a, 2), (b, -1), (a, -2), (b, 1)]).items() == []
+    assert VirtualCharacter([]) == VirtualCharacter([(a, 1), (a, -1)])
 
 
 def test_character_merges_repeated_weights():
     a = Weight(1, 1)
     char = VirtualCharacter([(a, 1), (a, 1), (a, -1)])
-    assert char.multiplicity(a) == 1
+    assert char.items() == [(a, 1)]
     assert char == VirtualCharacter([(a, 1)])
-
-
-def test_moving_part_strips_trivial_summands():
-    a = Weight(1, 0)
-    char = VirtualCharacter([(ZERO_WEIGHT, 3), (a, 2)])
-    assert char.moving_part() == VirtualCharacter([(a, 2)])
 
 
 def test_euler_is_signed_product():
@@ -93,22 +82,22 @@ def test_euler_rejects_vanishing_weight():
 
 @given(weights, weights, st.integers(-3, 3), st.integers(-3, 3))
 def test_character_addition_is_multiplicity_addition(a, b, m, n):
-    left = VirtualCharacter([(a, m)])
-    right = VirtualCharacter([(b, n)])
-    total = left + right
-    assert total.multiplicity(a) == m + (n if a == b else 0)
-    assert total.rank() == m + n
+    # The sum of two characters is built from their concatenated terms.
+    total = dict(VirtualCharacter([(a, m), (b, n)]).items())
+    assert total.get(a, 0) == m + (n if a == b else 0)
+    assert sum(total.values()) == m + n
+    assert 0 not in total.values()
 
 
 def test_rational_formatting_roundtrip():
     for text in ("-27", "27/2", "0", "81/4", "-3/8"):
-        assert format_rational(parse_rational(text)) == text
+        assert format_rational(Fraction(text)) == text
     assert format_rational(Fraction(6, 4)) == "3/2"
 
 
 @given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4))
 def test_parse_inverts_format(q):
-    assert parse_rational(format_rational(q)) == q
+    assert Fraction(format_rational(q)) == q
 
 
 def test_sampling_is_deterministic():
@@ -173,9 +162,9 @@ def test_sampler_walls_cover_axes_scaling_and_the_zero_form():
     assert not scalars._admissible(Fraction(3), Fraction(2), walls)
     assert scalars._admissible(Fraction(-3), Fraction(2), walls)
     assert not scalars._admissible(Fraction(3), Fraction(0), walls)
-    assert not scalars._admissible(Fraction(3), Fraction(2), scalars._walls((ZERO_WEIGHT,)))
+    assert not scalars._admissible(Fraction(3), Fraction(2), scalars._walls((Weight(0, 0),)))
     with pytest.raises(DegenerateSpecializationError):
-        sample_specializations(1, seed=0, forbidden=(ZERO_WEIGHT,))
+        sample_specializations(1, seed=0, forbidden=(Weight(0, 0),))
 
 
 def test_built_weights_are_exact_and_evaluate_to_fractions():
@@ -242,6 +231,38 @@ def test_bools_are_rejected_where_floats_are():
         sample_specializations(True)
     with pytest.raises(TypeError, match="must be an int"):
         two_point_pairing(2, num_points=True)
+
+
+_F = [Fraction(-27), Fraction(27), Fraction(54), Fraction(27)]
+_MIDDLE = fock.basis(4)[1].items()[0][0]
+_POINT = Specialization(Fraction(1), Fraction(3))
+_DEGREE_ENTRY_POINTS = {
+    "one_point": lambda d: fock.one_point(_MIDDLE, d),
+    "two_point_table": lambda d: fock.two_point_table(d, _F[0]),
+    "_case_iv": lambda d: fock._case_iv(d, _F),
+    "three_point_table": lambda d: fock.three_point_table(d, _F),
+    "enumerate_graphs": lambda d: enumerate_graphs(pair_family(0, 1), d),
+    "two_point_pairing": lambda d: two_point_pairing(d, 2),
+    "graph_sum": lambda d: graph_sum(pair_family(0, 1), d, _POINT),
+    "forbidden_weights": forbidden_weights,
+    "verify_identities": verify_identities,
+}
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [(2.5, TypeError, "must be an int"), (True, TypeError, "must be an int"),
+     (0, ValueError, "degree must be positive")],
+)
+@pytest.mark.parametrize("entry", sorted(_DEGREE_ENTRY_POINTS))
+def test_every_degree_entry_point_checks_the_degree(entry, bad, error, message):
+    # 2.5 once gave one_point the float -0.96, and True gave two_point_pairing
+    # a result whose d was True.  Degree 1 goes in first, so a cached entry
+    # point must not hand True the entry stored for 1.
+    call = _DEGREE_ENTRY_POINTS[entry]
+    call(1)
+    with pytest.raises(error, match=message):
+        call(bad)
 
 
 # Coefficients of every kind the engine builds: ints, zeros and fractions.
