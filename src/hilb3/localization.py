@@ -22,6 +22,7 @@ from .geometry import (
     curve_catalog,
     curves_through,
     fixed_points,
+    tangent_character,
     tangent_euler,
 )
 from .graphs import Edge, Family, StableGraph, automorphism_order
@@ -45,88 +46,60 @@ _GRAPH_SUM_CACHE_SIZE = 8192
 _PASS_CACHE_SIZE = 2048
 _EDGE_EULER_CACHE_SIZE = 8192
 
-# Covering characters of the invariant curves.  Each entry lists the degree-1
-# character (the part invariant under the covering group) and the repeating
-# block that appears once per nontrivial character of Z/d, shifted by a
-# fractional multiple of the base weight.  All exponent pairs (a, b) denote
-# a*w_i + b*z_i in the curve's principal chart i.
-#
-# Trivial summands are kept out of the invariant lists; the shifted blocks
-# may contain (0, 0) because the shift makes them nonzero.
 
-_PUNCTUAL_DISPLAY = {
-    (0, 1): {
-        "fixed_pos": ((-1, 2), (1, -2), (-1, 1), (0, -1), (-1, 0), (0, -1)),
-        "fixed_neg": ((-1, -1),),
-        "group_pos": ((-1, 2), (0, 0), (-1, 1)),
-        "group_neg": ((-2, 1), (-1, -1), (-1, 0)),
-        "base": (1, -2),
-    },
-    (0, 2): {
-        "fixed_pos": ((2, -1), (-2, 1), (1, -1), (-1, 0), (0, -1), (-1, 0)),
-        "fixed_neg": ((-1, -1),),
-        "group_pos": ((2, -1), (0, 0), (1, -1)),
-        "group_neg": ((1, -2), (-1, -1), (0, -1)),
-        "base": (-2, 1),
-    },
-    (1, 2): {
-        "fixed_pos": ((-1, 0), (0, -1), (-1, 1), (1, -1), (-1, 2), (0, 1), (1, 0), (2, -1)),
-        "fixed_neg": ((-1, -1), (-2, -1), (-1, -2)),
-        "group_pos": ((0, 0), (-1, 2), (0, 1), (1, 0), (-1, 1)),
-        "group_neg": ((-2, 0), (-1, -1), (-3, 0), (-2, -1), (-1, -2)),
-        "base": (1, -1),
-    },
-}
+def _splitting(curve: Curve) -> list[tuple[Weight, int]]:
+    """The tangent bundle along ``curve`` as six line bundles ``O(a)``, each
+    given by its weight ``alpha`` at the first end and its degree ``a``.
 
-_PAIR_DISPLAY = {
-    "fixed_pos": ((-1, 1), (1, -1), (-1, 0), (0, -1)),
-    "fixed_neg": ((-1, -1),),
-    "group_pos": ((0, 0), (-1, 1)),
-    "group_neg": ((-2, 0), (-1, -1)),
-    "base": (1, -1),
-}
-
-
-def _display_terms(curve: Curve) -> tuple[tuple[tuple[Weight, int], ...], tuple[tuple[Weight, int], ...], Weight]:
-    """Fixed terms, repeating-block terms and base weight for a curve."""
-    i = curve.chart
-    if curve.kind == "pair":
-        data = _PAIR_DISPLAY
-        j = curve.endpoints[0].other
-        extra = tuple((chart_weight(j, *ab), 1) for ab in ((-1, 0), (0, -1)))
-    else:
-        key = (curve.endpoints[0].stratum, curve.endpoints[1].stratum)
-        data = _PUNCTUAL_DISPLAY[key]
-        extra = ()
-    fixed = tuple((chart_weight(i, *ab), 1) for ab in data["fixed_pos"]) + extra
-    fixed += tuple((chart_weight(i, *ab), -1) for ab in data["fixed_neg"])
-    group = tuple((chart_weight(i, *ab), 1) for ab in data["group_pos"])
-    group += tuple((chart_weight(i, *ab), -1) for ab in data["group_neg"])
-    return fixed, group, chart_weight(i, *data["base"])
-
-
-@lru_cache(maxsize=None)
-def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
-    """Virtual character of the normal directions along a degree-``degree`` cover.
-
-    The degree-``degree`` multiple cover of an invariant curve carries a
-    residual Z/``degree`` action; its character decomposes into the invariant
-    part plus one copy of the repeating block per nontrivial group character,
-    each shifted by the corresponding fraction of the base weight.
+    Its weight at the second end is ``alpha - a*tau``, ``tau`` the curve's
+    tangent weight at the first end; each ``alpha`` takes the first unpaired
+    such weight.  Equivariant K-theory of the line is fixed by its two
+    restrictions, so any such pairing has the same cohomology.
     """
-    if degree < 1:
-        raise ValueError("cover degree must be positive")
-    fixed, group, base = _display_terms(curve)
-    terms = list(fixed)
-    for m in range(1, degree):
-        shift = base.scaled(Fraction(m, degree))
-        terms.extend((weight + shift, sign) for weight, sign in group)
+    tau = curve.tangents[0]
+    near, far = ([w for w, m in tangent_character(end).items() for _ in range(m)]
+                 for end in curve.endpoints)
+    bundles = []
+    for alpha in near:
+        for beta in far:
+            diff = alpha - beta
+            a = diff.a // tau.a if tau.a else diff.b // tau.b
+            if tau.scaled(a) == diff:
+                far.remove(beta)
+                bundles.append((alpha, a))
+                break
+        else:
+            raise ValueError(f"no line bundle on {curve} has weight {alpha} at its first end")
+    return bundles
+
+
+@lru_cache(maxsize=None, typed=True)
+def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
+    """Virtual character of ``H^0 - H^1`` of ``f^*T_X`` along a degree-``degree`` cover ``f``.
+
+    ``H^1`` is the obstruction part.  Over the cover, whose tangent weight at
+    the first end is ``tau/degree``, a bundle ``O(a)`` of :func:`_splitting`
+    with weight ``alpha`` there becomes ``O(a*degree)``.  For ``a >= 0`` its
+    ``H^0`` has the weights ``alpha + k*tau/degree`` with ``-a*degree <= k <=
+    0``; for ``a < 0`` its ``H^1`` has them with ``0 < k < -a*degree``,
+    counted with sign -1.  The one zero weight, the infinitesimal rotation of
+    the cover, is left out.  Each weight is built from integer parts over the
+    denominator ``degree``.
+    """
+    positive_degree(degree)
+    tau = curve.tangents[0]
+    terms = [(Weight(0, 0), -1)]
+    for alpha, a in _splitting(curve):
+        steps, sign = (range(0, -a * degree - 1, -1), 1) if a >= 0 else (range(1, -a * degree), -1)
+        terms += [(Weight(Fraction(alpha.a * degree + k * tau.a, degree),
+                          Fraction(alpha.b * degree + k * tau.b, degree)), sign) for k in steps]
     return VirtualCharacter(terms)
 
 
-@lru_cache(maxsize=_EDGE_EULER_CACHE_SIZE)
+@lru_cache(maxsize=_EDGE_EULER_CACHE_SIZE, typed=True)
 def edge_euler(curve: Curve, degree: int, point: Specialization) -> Rational:
     """Euler factor of an edge: product of the covering weights, none of them trivial."""
+    positive_degree(degree)
     return edge_character(curve, degree).euler(point)
 
 

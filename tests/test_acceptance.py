@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 import hilb3
 from hilb3.fock import (
     dual_basis,
@@ -37,7 +35,6 @@ from hilb3.graphs import (
     all_punctual_families,
     automorphism_order,
     enumerate_graphs,
-    pair_family,
 )
 from hilb3.geometry import pair_curve
 from hilb3.invariants import (

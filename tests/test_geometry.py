@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from hilb3.geometry import (
-    Curve,
     FixedPoint,
     chart_weight,
     curve_catalog,

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from hilb3.invariants import (
-    ConsistencyError,
     family_term_closed,
     pair_family_term,
     pair_sum_closed,

@@ -7,6 +7,7 @@ against the classical integral values directly, and the engine must agree
 with it on randomized inputs.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -15,7 +16,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilb3.geometry import pair_curve, punctual_curve, curve_catalog
+from hilb3.geometry import pair_curve, curve_catalog
 from hilb3.graphs import (
     all_pair_families,
     all_punctual_families,
@@ -28,6 +29,7 @@ from hilb3.cli import main
 from hilb3.invariants import verify_identities
 from hilb3.localization import (
     _dot,
+    _splitting,
     _stored_pass,
     edge_character,
     edge_euler,
@@ -130,12 +132,36 @@ def test_pochhammer_values():
 
 
 def test_edge_character_ranks():
-    # The covering character has constant virtual rank in the covering
-    # degree: the extra group blocks cancel in pairs.  The common value is
-    # one less than the dimension of the ambient space.
+    # By Riemann-Roch, H^0 - H^1 of f^*T_X has rank 6 + d*c_1*C, and c_1
+    # vanishes on the contracted curves; the left-out rotation makes it
+    # 6 + d*c_1*C - 1 = 5 at every covering degree.
     for curve in curve_catalog():
         for degree in (1, 2, 3, 4):
             assert sum(mult for _, mult in edge_character(curve, degree).items()) == 5
+
+
+def test_edge_characters_are_pinned():
+    # SHA-256 of every curve's character in degrees 1..12, as the hand-written
+    # covering tables of earlier versions gave it; the derivation must keep it.
+    data = [
+        (c.name, d, [(str(w), m) for w, m in edge_character(c, d).items()])
+        for c in curve_catalog()
+        for d in range(1, 13)
+    ]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "cbc38234e3b4401aa9cfccb82c4bc65f02353c2bf5418cfd0380103b54041a76"
+
+
+def test_tangent_bundle_splits_with_the_curve_and_degree_zero():
+    # Six line bundles, one the curve's own tangent bundle O(2).  The degrees
+    # sum to c_1(T_X)*C = 0: the canonical class of Hilb^3 is pulled back from
+    # Sym^3 and so vanishes on the curves Hilbert-Chow contracts.  A wrong
+    # tangent weight at either end breaks the pairing or the sum.
+    for curve in curve_catalog():
+        bundles = _splitting(curve)
+        assert len(bundles) == 6, curve
+        assert (curve.tangents[0], 2) in bundles, curve
+        assert sum(a for _, a in bundles) == 0, curve
 
 
 def test_covering_characters_have_no_trivial_summand():

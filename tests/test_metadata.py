@@ -61,3 +61,41 @@ def test_the_caches_the_benchmark_job_reads_exist():
 
     for cached in (graph_sum, edge_euler, enumerate_graphs, forbidden_weights):
         assert callable(cached.cache_info) and callable(cached.cache_clear), cached.__name__
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads; a name in ``__all__`` is read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= {element.value for element in node.value.elts}
+    return sorted(imported - read)
+
+
+def test_the_unused_import_check_sees_reads_and_all():
+    tree = ast.parse(
+        "import os.path\nfrom a import b, c as d, e\n__all__ = ['e']\nprint(os, d)\n"
+    )
+    assert _unused_imports(tree) == ["b"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # No linter runs in CI, so this is the check for unused imports.
+    modules = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in modules
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}

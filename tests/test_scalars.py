@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hilb3 import fock, scalars
-from hilb3.geometry import curve_catalog, fixed_points, tangent_character, taut_c1
+from hilb3.geometry import curve_catalog, fixed_points, pair_curve, tangent_character, taut_c1
 from hilb3.graphs import enumerate_graphs, pair_family
 from hilb3.invariants import two_point_pairing, verify_identities
-from hilb3.localization import edge_character, forbidden_weights, graph_sum
+from hilb3.localization import edge_character, edge_euler, forbidden_weights, graph_sum
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
@@ -241,6 +241,8 @@ _DEGREE_ENTRY_POINTS = {
     "two_point_table": lambda d: fock.two_point_table(d, _F[0]),
     "_case_iv": lambda d: fock._case_iv(d, _F),
     "three_point_table": lambda d: fock.three_point_table(d, _F),
+    "edge_character": lambda d: edge_character(pair_curve(0, 1), d),
+    "edge_euler": lambda d: edge_euler(pair_curve(0, 1), d, _POINT),
     "enumerate_graphs": lambda d: enumerate_graphs(pair_family(0, 1), d),
     "two_point_pairing": lambda d: two_point_pairing(d, 2),
     "graph_sum": lambda d: graph_sum(pair_family(0, 1), d, _POINT),
