@@ -35,12 +35,13 @@ from .fock import (
     vector,
     wdvv_consistency,
 )
-from .geometry import FixedPoint, chart_weight, hyperplane_weight, taut_c1
+from .geometry import FixedPoint, hyperplane_weight, taut_c1, torus_weights
 from .graphs import pair_family, punctual_family
 from .localization import forbidden_weights, graph_sum
 from .scalars import (
     Rational,
     Specialization,
+    _parts,
     evaluate_weight,
     format_rational,
     positive_degree,
@@ -56,23 +57,20 @@ class ConsistencyError(ArithmeticError):
     """A quantity that must be specialization independent failed to be."""
 
 
-def cubic_insertion(point: FixedPoint, spec: Specialization) -> Rational:
-    """Fixed-point value of the twist difference times the squared base class."""
-    base = evaluate_weight(taut_c1(point, 0), spec)
-    twisted = evaluate_weight(taut_c1(point, 1), spec)
-    return (twisted - base) * base**2
-
-
-def quadratic_insertion(point: FixedPoint, spec: Specialization) -> Rational:
-    """Fixed-point value of the squared base tautological class."""
-    return evaluate_weight(taut_c1(point, 0), spec) ** 2
-
-
 def _mark_factor(first: FixedPoint, second: FixedPoint, spec: Specialization) -> Rational:
-    """Insertion-difference weight of a family whose marks sit at ``first``, ``second``."""
-    delta_cubic = cubic_insertion(first, spec) - cubic_insertion(second, spec)
-    delta_quadratic = quadratic_insertion(first, spec) - quadratic_insertion(second, spec)
-    return -delta_cubic * delta_quadratic
+    """Insertion-difference weight of a family whose marks sit at ``first``, ``second``.
+
+    With base class ``b`` and twisted class ``t`` at a label, the cubic insertion
+    is ``(t - b)*b^2`` and the quadratic one ``b^2``; the weight is minus the
+    product of their differences.  Each class is a ``_parts`` integer over the
+    shared denominator ``wd*zd``, so the weight is one ``Fraction``.
+    """
+    (b1, den), (t1, _), (b2, _), (t2, _) = (
+        _parts(taut_c1(label, twist), spec) for label in (first, second) for twist in (0, 1)
+    )
+    cubic = (t1 - b1) * b1 * b1 - (t2 - b2) * b2 * b2
+    quadratic = b1 * b1 - b2 * b2
+    return Fraction(-cubic * quadratic, den**5)
 
 
 def pair_family_term(d: int, i: int, j: int, spec: Specialization) -> Rational:
@@ -161,9 +159,8 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
 
 
 def _local_values(i: int, spec: Specialization) -> tuple[Rational, Rational]:
-    w = evaluate_weight(chart_weight(i, 1, 0), spec)
-    z = evaluate_weight(chart_weight(i, 0, 1), spec)
-    return w, z
+    w, z = torus_weights(i)
+    return evaluate_weight(w, spec), evaluate_weight(z, spec)
 
 
 def pair_sum_closed(d: int, i: int, j: int, spec: Specialization) -> Rational:
@@ -231,20 +228,19 @@ def _mark_factor_closed(i: int, j: int, k: int, spec: Specialization) -> Rationa
     raise ValueError("stratum pair must be (0,1), (0,2) or (1,2)")
 
 
+# The chart-``i`` punctual family term in degree d has the cubic
+# ``w^3 + c*(w^2 z + w z^2) + z^3`` with this c.
+_FAMILY_CUBIC = {1: -6, 2: 12, 3: 21, 4: 12}
+
+
 def family_term_closed(d: int, i: int, spec: Specialization) -> Rational:
     """Closed form of the chart-``i`` punctual family term, degrees 1 to 4."""
+    if d not in _FAMILY_CUBIC:
+        raise ValueError("closed form known only for degrees 1 through 4")
     g = evaluate_weight(hyperplane_weight(i), spec)
     w, z = _local_values(i, spec)
-    cubes = {
-        1: (w**3 - 6 * w**2 * z - 6 * w * z**2 + z**3, 1),
-        2: (w**3 + 12 * w**2 * z + 12 * w * z**2 + z**3, 2),
-        3: (w**3 + 21 * w**2 * z + 21 * w * z**2 + z**3, 3),
-        4: (w**3 + 12 * w**2 * z + 12 * w * z**2 + z**3, 4),
-    }
-    if d not in cubes:
-        raise ValueError("closed form known only for degrees 1 through 4")
-    numerator, divisor = cubes[d]
-    return (-3 * g * numerator) / (divisor * w**2 * z**2)
+    cubic = w**3 + _FAMILY_CUBIC[d] * (w**2 * z + w * z**2) + z**3
+    return (-3 * g * cubic) / (d * w**2 * z**2)
 
 
 def family_term_recursed(d: int, i: int, spec: Specialization) -> Rational:

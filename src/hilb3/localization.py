@@ -18,12 +18,12 @@ from typing import Iterable, Sequence
 from .geometry import (
     Curve,
     FixedPoint,
-    chart_weight,
     curve_catalog,
     curves_through,
     fixed_points,
     tangent_character,
     tangent_euler,
+    torus_weights,
 )
 from .graphs import Edge, Family, StableGraph, automorphism_order
 from .scalars import (
@@ -33,7 +33,7 @@ from .scalars import (
     VirtualCharacter,
     Weight,
     _parts,
-    _walls,
+    _primitive,
     evaluate_weight,
     invertible,
     positive_degree,
@@ -47,7 +47,8 @@ _PASS_CACHE_SIZE = 2048
 _EDGE_EULER_CACHE_SIZE = 8192
 
 
-def _splitting(curve: Curve) -> list[tuple[Weight, int]]:
+@lru_cache(maxsize=None)
+def _splitting(curve: Curve) -> tuple[tuple[Weight, int], ...]:
     """The tangent bundle along ``curve`` as six line bundles ``O(a)``, each
     given by its weight ``alpha`` at the first end and its degree ``a``.
 
@@ -70,12 +71,14 @@ def _splitting(curve: Curve) -> list[tuple[Weight, int]]:
                 break
         else:
             raise ValueError(f"no line bundle on {curve} has weight {alpha} at its first end")
-    return bundles
+    return tuple(bundles)
 
 
 @lru_cache(maxsize=None, typed=True)
-def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
-    """Virtual character of ``H^0 - H^1`` of ``f^*T_X`` along a degree-``degree`` cover ``f``.
+def _covering(curve: Curve, degree: int) -> tuple[tuple[int, int, int], ...]:
+    """The weights of ``H^0 - H^1`` of ``f^*T_X`` along a degree-``degree``
+    cover ``f``, as rows ``(A, B, sign)``: the weight ``(A*w + B*z)/degree``,
+    counted with ``sign``.
 
     ``H^1`` is the obstruction part.  Over the cover, whose tangent weight at
     the first end is ``tau/degree``, a bundle ``O(a)`` of :func:`_splitting`
@@ -83,24 +86,43 @@ def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
     ``H^0`` has the weights ``alpha + k*tau/degree`` with ``-a*degree <= k <=
     0``; for ``a < 0`` its ``H^1`` has them with ``0 < k < -a*degree``,
     counted with sign -1.  The one zero weight, the infinitesimal rotation of
-    the cover, is left out.  Each weight is built from integer parts over the
-    denominator ``degree``.
+    the cover, is left out.
     """
     positive_degree(degree)
     tau = curve.tangents[0]
-    terms = [(Weight(0, 0), -1)]
+    rows = []
     for alpha, a in _splitting(curve):
         steps, sign = (range(0, -a * degree - 1, -1), 1) if a >= 0 else (range(1, -a * degree), -1)
-        terms += [(Weight(Fraction(alpha.a * degree + k * tau.a, degree),
-                          Fraction(alpha.b * degree + k * tau.b, degree)), sign) for k in steps]
-    return VirtualCharacter(terms)
+        rows += [(alpha.a * degree + k * tau.a, alpha.b * degree + k * tau.b, sign) for k in steps]
+    rows.remove((0, 0, 1))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None, typed=True)
+def edge_character(curve: Curve, degree: int) -> VirtualCharacter:
+    """The rows of :func:`_covering` as a character of ``Weight`` objects."""
+    return VirtualCharacter(
+        (Weight(Fraction(a, degree), Fraction(b, degree)), sign)
+        for a, b, sign in _covering(curve, degree)
+    )
 
 
 @lru_cache(maxsize=_EDGE_EULER_CACHE_SIZE, typed=True)
 def edge_euler(curve: Curve, degree: int, point: Specialization) -> Rational:
-    """Euler factor of an edge: product of the covering weights, none of them trivial."""
-    positive_degree(degree)
-    return edge_character(curve, degree).euler(point)
+    """Euler factor of an edge: product of the covering weights, none of them trivial.
+
+    With ``w = wn/wd`` and ``z = zn/zd``, each row of :func:`_covering` is the
+    integer ``A*wn*zd + B*zn*wd`` over ``degree*wd*zd``; one ``Fraction`` is built.
+    """
+    wn, wd, zn, zd = point.w.numerator, point.w.denominator, point.z.numerator, point.z.denominator
+    scale = degree * wd * zd
+    num = den = 1
+    for a, b, sign in _covering(curve, degree):
+        value = a * wn * zd + b * zn * wd
+        if not value:  # the message is built only for a weight that vanishes
+            invertible(value, f"weight {Weight(Fraction(a, degree), Fraction(b, degree))}", point)
+        num, den = (num * value, den * scale) if sign > 0 else (num * scale, den * value)
+    return Fraction(num, den)
 
 
 def pochhammer(start: Rational, length: int) -> Rational:
@@ -117,10 +139,8 @@ def edge_euler_closed(i: int, j: int, degree: int, point: Specialization) -> Rat
     Valid for the curves of residual pairs; provides an independent route to
     the same factor that :func:`edge_euler` computes term by term.
     """
-    wi = evaluate_weight(chart_weight(i, 1, 0), point)
-    zi = evaluate_weight(chart_weight(i, 0, 1), point)
-    wj = evaluate_weight(chart_weight(j, 1, 0), point)
-    zj = evaluate_weight(chart_weight(j, 0, 1), point)
+    wi, zi = (evaluate_weight(t, point) for t in torus_weights(i))
+    wj, zj = (evaluate_weight(t, point) for t in torus_weights(j))
     d = degree
     sign = -1 if d % 2 == 0 else 1
     numerator = sign * math.factorial(d - 1) ** 2 * wi * wj * zi * zj * (wi - zi) ** 2
@@ -242,55 +262,54 @@ def _node(omega: Rational, other: Rational, point: Specialization) -> Rational:
     return Fraction(omega.denominator * other.denominator, num)
 
 
-def _dot(pairs: Iterable[tuple[Rational, Rational]]) -> Rational:
-    """The exact sum of ``x * y`` over ``pairs``; the int ``0`` when it vanishes.
+def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> Rational:
+    """The exact sum of ``k * x * y / divisor`` over the pairs ``(x, y)`` of
+    every group ``(k, pairs)``, ``k`` an int; the int ``0`` when it vanishes.
 
-    The sum is formed from the operands' integer numerators and denominators
-    over an lcm denominator, at most one gcd per term, and reduced once,
-    into one ``Fraction``.  This is the pass's only multiply-accumulate.
+    The sum is formed from integer numerators and denominators over an lcm
+    denominator, at most one gcd per term, and reduced once, into one
+    ``Fraction``.  This is the pass's only multiply-accumulate.
     """
     num, den = 0, 1
-    for x, y in pairs:
-        n = x.numerator * y.numerator
-        if n:
-            d = x.denominator * y.denominator
-            if d == den:
-                num += n
-            else:
-                g = math.gcd(den, d)
-                num = num * (d // g) + n * (den // g)
-                den *= d // g
-    return Fraction(num, den) if num else 0
+    for k, pairs in groups:
+        for x, y in pairs:
+            n = x.numerator * y.numerator
+            if n:
+                d = x.denominator * y.denominator
+                if d == den:
+                    num += k * n
+                else:
+                    g = math.gcd(den, d)
+                    num = num * (d // g) + k * n * (den // g)
+                    den *= d // g
+    return Fraction(num, den * divisor) if num else 0
 
 
-def _add_product(
-    out: list, left: list, right: list, shift: int, scale: Rational | None = None
-) -> None:
-    """Add ``scale * t^shift * left * right`` to ``out``, t-degrees below ``len(out)``.
-
-    Each entry of ``out`` takes the sum of its products in one :func:`_dot`,
-    which ``scale``, when given, multiplies once.
-    """
-    for n in range(shift, len(out)):
-        m = n - shift
-        low = max(m + 1 - len(right), 0)
-        total = _dot(zip(left[low:m + 1], right[m - low::-1]))
-        if total:
-            if scale is not None:
-                total *= scale
-            out[n] = out[n] + total if out[n] else total
+def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor: int = 1) -> list:
+    """The t-degrees below ``length`` of ``sum k t^shift left right / divisor``
+    over ``terms`` ``(k, left, right, shift)``, each one :func:`_dot` over all terms."""
+    row = []
+    for n in range(length):
+        groups = []
+        for k, left, right, shift in terms:
+            m = n - shift
+            if m >= 0:
+                low = max(m + 1 - len(right), 0)
+                groups.append((k, zip(left[low:m + 1], right[m - low::-1])))
+        row.append(_dot(groups, divisor))
+    return row
 
 
 def _child_row(kids: list[_Flag], values: list, length: int) -> list:
     """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
     live = [(a, f.series) for f, a in zip(kids, values) if a]
-    return [_dot((a, series[s]) for a, series in live) for s in range(length)]
+    return [_dot([(1, [(a, series[s]) for a, series in live])]) for s in range(length)]
 
 
-def _extract(row: list, parent: _Flag, e: int) -> list:
+def _extract(row: list, parent: _Flag, e: int) -> tuple[int, Iterable]:
     """The pairs whose products sum to ``[t^e]`` of ``row`` times the parent
-    flag's ``(1/omega) e^(t/omega)``."""
-    return list(zip(row[:e + 1], parent.series[e::-1]))
+    flag's ``(1/omega) e^(t/omega)``, as a :func:`_dot` group."""
+    return 1, zip(row[:e + 1], parent.series[e::-1])
 
 
 def _recursion_pass(
@@ -346,33 +365,39 @@ def _recursion_pass(
             row, log = rows[label], logs[label]
             for y, value in zip(row, values):
                 y.append(_child_row(kids, value, top - order))
-            # Lambda_N = X_N + sum_k (k/N) Lambda_k X_(N-k); its row t^N Lambda_N
-            # starts as the row t X_N, raised by N - 1 t-degrees.
+            # N Lambda_N = N X_N + sum_k k Lambda_k X_(N-k), as the row
+            # t^N Lambda_N, in which the row t X_N is raised by N - 1 t-degrees.
             x = row[0]
-            log.append(([0] * (order - 1) + x[order] + [0])[:tops[label]])
-            for k in range(1, order):
-                _add_product(log[order], log[k], x[order - k], order - k - 1, Fraction(k, order))
+            log.append(_product_row(
+                [(k, log[k], x[order - k], order - k - 1) for k in range(1, order)]
+                + [(order, [1], x[order], order - 1)],
+                tops[label], order,
+            ))
             # Below t-degree -1, sum_k Lambda_k Y_(c,N-k) in every channel.
-            # X_N has no term there, so channel 0, started from -Lambda_N,
-            # leaves phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
-            below = [[-q for q in log[order][:order - 1]]]
-            below += [[0] * (order - 1) for _ in marks[1:]]
-            for out, y in zip(below, row):
-                for k in range(1, order):
-                    _add_product(out, log[k], y[order - k], order - k - 1)
+            # X_N has no term there, so channel 0, which also subtracts
+            # Lambda_N, leaves phi_N = sum_k ((N-k)/N) Lambda_k X_(N-k).
+            below = [
+                _product_row(
+                    [(1, log[k], y[order - k], order - k - 1) for k in range(1, order)]
+                    + ([(-1, log[order], [1], 0)] if c == 0 else []),
+                    order - 1,
+                )
+                for c, y in enumerate(row)
+            ]
             if label in firsts:
                 for c, mark in enumerate(marks[1:], 1):
-                    roots[label, mark][order] = _dot((v, 1) for v in values[c] + below[c][-1:])
+                    ends = values[c] + below[c][-1:]
+                    roots[label, mark][order] = _dot([(1, [(v, 1) for v in ends])])
             for parent in here:
                 if order + parent.cost > top:
                     break
                 for c, mark in enumerate(marks):
                     # The kids are a prefix of the parent's nodes.
-                    pairs = list(zip(values[c], parent.nodes))
-                    pairs += _extract(below[c], parent, order - 2)
+                    groups = [(1, zip(values[c], parent.nodes))]
+                    groups.append(_extract(below[c], parent, order - 2))
                     if label == mark:
-                        pairs += _extract(log[order], parent, order - 1)
-                    sums[c][parent.index][order] = _dot(pairs)
+                        groups.append(_extract(log[order], parent, order - 1))
+                    sums[c][parent.index][order] = _dot(groups)
     return {
         (first, second): tuple(value / euler[first] for value in roots[first, second][1:])
         for first, second in placements
@@ -456,27 +481,31 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
 def forbidden_weights(d_max: int) -> tuple[Weight, ...]:
     """Every wall on which a form inverted in a degree <= ``d_max`` sum vanishes.
 
-    The walls come from the edge characters' weights and the node smoothings
+    The walls come from the rows of :func:`_covering` and the node smoothings
     ``d2*t1 + d1*t2``; a flag weight's wall is that of a curve's smoothing
-    with itself.  Each wall ``a*w + b*z = 0`` is listed once, sorted, as the
-    primitive integer form that :func:`~hilb3.scalars.sample_specializations`
-    reduces every form to.  Two sources add no wall: the tangent characters,
-    whose walls are those of the degree-1 edges at the same label, and the
-    factors of :func:`edge_euler_closed`, each ``d`` times a pair curve's
-    shifted edge weight.
+    with itself.  Each wall ``a*w + b*z = 0`` is reduced from integers and
+    listed once, sorted, as the primitive form that
+    :func:`~hilb3.scalars.sample_specializations` reduces every form to.  Two
+    sources add no wall: the tangent characters, whose walls are those of the
+    degree-1 edges at the same label, and the factors of
+    :func:`edge_euler_closed`, each ``d`` times a pair curve's shifted edge
+    weight.
     """
     positive_degree(d_max)
-    forms = [
-        weight
+    walls = {
+        _primitive(a, b)
         for curve in curve_catalog()
         for degree in range(1, d_max // curve.beta + 1)
-        for weight, _ in edge_character(curve, degree).items()
-    ]
+        for a, b, _ in _covering(curve, degree)
+    }
     for label in fixed_points():
         ends = [
             (curve.tangent_at(label), degree)
             for curve in curves_through(label)
             for degree in range(1, d_max // curve.beta + 1)
         ]
-        forms += [t1.scaled(d2) + t2.scaled(d1) for t1, d1 in ends for t2, d2 in ends]
-    return tuple(Weight(a, b) for a, b in sorted(_walls(forms) - {(0, 0)}))
+        walls.update(
+            _primitive(t1.a * d2 + t2.a * d1, t1.b * d2 + t2.b * d1)
+            for t1, d1 in ends for t2, d2 in ends
+        )
+    return tuple(Weight(a, b) for a, b in sorted(walls - {(0, 0)}))

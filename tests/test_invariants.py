@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from hilb3.geometry import fixed_points, taut_c1
 from hilb3.invariants import (
+    _mark_factor,
     family_term_closed,
     pair_family_term,
     pair_sum_closed,
@@ -14,7 +16,7 @@ from hilb3.invariants import (
     verify_identities,
 )
 from hilb3.localization import forbidden_weights
-from hilb3.scalars import Specialization, sample_specializations
+from hilb3.scalars import Specialization, evaluate_weight, sample_specializations
 
 POINT_13 = Specialization(Fraction(1), Fraction(3))
 
@@ -157,6 +159,35 @@ def test_family_term_closed_is_what_the_engine_sums():
     point = sample_specializations(1, seed=4, forbidden=forbidden_weights(2))[0]
     for i in range(3):
         assert punctual_family_term(2, i, point) == family_term_closed(2, i, point)
+
+
+def _cubic_insertion(label, spec):
+    """Fixed-point value of the twist difference times the squared base class."""
+    base = evaluate_weight(taut_c1(label, 0), spec)
+    twisted = evaluate_weight(taut_c1(label, 1), spec)
+    return (twisted - base) * base**2
+
+
+def _quadratic_insertion(label, spec):
+    """Fixed-point value of the squared base tautological class."""
+    return evaluate_weight(taut_c1(label, 0), spec) ** 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [POINT_13, Specialization(Fraction(-6, 35), Fraction(10, 21))],
+    ids=["integers", "shared-denominators"],
+)
+def test_mark_factor_is_minus_the_product_of_the_insertion_differences(spec):
+    # The insertion values evaluated one Fraction at a time are the oracle
+    # for the integer route, at every ordered pair of the 21 labels.
+    for first in fixed_points():
+        for second in fixed_points():
+            cubic = _cubic_insertion(first, spec) - _cubic_insertion(second, spec)
+            quadratic = _quadratic_insertion(first, spec) - _quadratic_insertion(second, spec)
+            value = _mark_factor(first, second, spec)
+            assert type(value) is Fraction
+            assert value == -cubic * quadratic, (str(first), str(second))
 
 
 @pytest.mark.parametrize(

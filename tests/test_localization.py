@@ -9,6 +9,7 @@ with it on randomized inputs.
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -16,7 +17,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilb3.geometry import pair_curve, curve_catalog
+from hilb3.geometry import curve_catalog, curves_through, fixed_points, pair_curve
 from hilb3.graphs import (
     all_pair_families,
     all_punctual_families,
@@ -240,6 +241,67 @@ def test_forbidden_weights_make_sampling_safe():
             graph_sum(family, 3, point)
 
 
+def _weight_walls(d_max):
+    """The walls of degree ``d_max`` as Weights: the edge characters' weights and
+    the node smoothings ``d2*t1 + d1*t2``, each reduced by the sampler's rule."""
+    forms = [
+        weight
+        for curve in curve_catalog()
+        for degree in range(1, d_max // curve.beta + 1)
+        for weight, _ in edge_character(curve, degree).items()
+    ]
+    for label in fixed_points():
+        ends = [
+            (curve.tangent_at(label), degree)
+            for curve in curves_through(label)
+            for degree in range(1, d_max // curve.beta + 1)
+        ]
+        forms += [t1.scaled(d2) + t2.scaled(d1) for t1, d1 in ends for t2, d2 in ends]
+    return tuple(Weight(a, b) for a, b in sorted(scalars._walls(forms) - {(0, 0)}))
+
+
+def test_forbidden_weights_are_the_walls_of_the_weight_route():
+    # forbidden_weights reduces integer rows; the route through Weight and
+    # Fraction objects must list the same walls in the same order.
+    for d in range(1, 13):
+        assert forbidden_weights(d) == _weight_walls(d), d
+
+
+nonzero = st.fractions(-40, 40, max_denominator=36).filter(bool)
+
+
+@given(st.sampled_from(curve_catalog()), st.integers(1, 6), nonzero, nonzero)
+@settings(max_examples=60, deadline=None)
+def test_edge_euler_is_the_euler_class_of_the_edge_character(curve, degree, w, z):
+    point = Specialization(w, z)
+    try:
+        expected = edge_character(curve, degree).euler(point)
+    except DegenerateSpecializationError as exc:
+        with pytest.raises(DegenerateSpecializationError, match=f"^{re.escape(str(exc))}$"):
+            edge_euler.__wrapped__(curve, degree, point)
+        return
+    value = edge_euler.__wrapped__(curve, degree, point)
+    assert type(value) is Fraction
+    assert value == expected
+
+
+def test_a_point_on_a_wall_raises_naming_the_vanishing_weight():
+    # One point on each covering weight's wall, for every curve in degrees
+    # 1..4: the integer route stops as the Weight route does, with its message.
+    for curve in curve_catalog():
+        for degree in range(1, 5):
+            for weight, _ in edge_character(curve, degree).items():
+                wall = Specialization(weight.b, -weight.a)
+                with pytest.raises(DegenerateSpecializationError) as old:
+                    edge_character(curve, degree).euler(wall)
+                with pytest.raises(DegenerateSpecializationError) as new:
+                    edge_euler.__wrapped__(curve, degree, wall)
+                assert str(new.value) == str(old.value), (curve.name, degree, weight)
+    with pytest.raises(DegenerateSpecializationError) as caught:
+        edge_euler(pair_curve(0, 1), 2, Specialization(Fraction(1), Fraction(-3)))
+    assert str(caught.value) == "weight -3/2*w + -1/2*z vanishes at w=1, z=-3"
+
+
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 4), st.integers(0, 50))
 @settings(max_examples=25, deadline=None)
 def test_closed_euler_agrees_on_random_specializations(i, j, degree, seed):
@@ -383,6 +445,24 @@ def test_graph_sums_past_the_oracle_are_pinned():
             )
 
 
+def test_graph_sums_to_degree_10_at_two_points_are_pinned():
+    # SHA-256 of every family's graph sums in degrees 1..10 at two points, as
+    # the pass gave them when it added each row's products one k at a time.
+    points = (
+        Specialization(Fraction(-41, 19), Fraction(-13, 67)),
+        Specialization(Fraction(-83, 61), Fraction(-23, 89)),
+    )
+    _clear_sums()
+    data = [
+        (family.name, d, point.as_strings(), str(graph_sum(family, d, point)))
+        for point in points
+        for family in FAMILIES
+        for d in range(10, 0, -1)
+    ]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "09d672c39e8eb863b7e06b41a10c245c9542ca85107a1cce8672567c3831b8ae"
+
+
 def test_graph_sums_are_fractions_even_when_empty():
     # The pass seeds its sums with ints; every value it returns, the empty
     # families' zeros included, is still a Fraction.
@@ -413,9 +493,10 @@ def test_recursion_matches_the_oracle_where_denominators_are_composite_and_share
             assert value == _enumerated_sum(family, d, point), (family.name, d)
 
 
-def _fraction_dot(pairs):
-    """The sum of ``x * y`` in plain Fraction arithmetic, one reduction per step."""
-    return sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+def _fraction_dot(groups, divisor=1):
+    """The sum of ``k * x * y / divisor`` in plain Fraction arithmetic, one reduction per step."""
+    total = sum((k * Fraction(x) * y for k, pairs in groups for x, y in pairs), Fraction(0))
+    return total / divisor
 
 
 @pytest.mark.parametrize(
@@ -432,9 +513,12 @@ def _fraction_dot(pairs):
     ids=["mixed-ints", "equal-denominators", "zero-operand"],
 )
 def test_dot_is_fraction_arithmetic_on_small_cases(pairs):
-    value = _dot(pairs)
+    value = _dot([(1, pairs)])
     assert type(value) is Fraction
-    assert value == _fraction_dot(pairs)
+    assert value == _fraction_dot([(1, pairs)])
+    # The same pairs split into weighted groups, over a divisor.
+    groups = [(3, pairs[:1]), (-2, pairs[1:])]
+    assert _dot(groups, 6) == _fraction_dot(groups, 6)
 
 
 @pytest.mark.parametrize(
@@ -454,22 +538,33 @@ def test_dot_is_fraction_arithmetic_on_small_cases(pairs):
     ids=["empty", "zero-operands", "equal-denominators", "mixed-denominators"],
 )
 def test_dot_gives_a_falsy_zero_when_the_terms_cancel(pairs):
-    assert _fraction_dot(pairs) == 0
-    value = _dot(pairs)
+    assert _fraction_dot([(1, pairs)]) == 0
+    value = _dot([(1, pairs)], 5)
     assert not value
     assert value == 0
+
+
+def test_dot_weights_can_cancel_equal_terms():
+    # k/N-weighted terms that cancel only through their weights.
+    pairs = [(Fraction(1, 6), Fraction(5, 7))]
+    assert _dot([(2, pairs), (1, pairs + pairs), (-4, pairs)], 3) == 0
 
 
 # Operands of every kind the pass multiplies: ints, zeros and fractions.
 operands = st.one_of(
     st.integers(-30, 30), st.just(0), st.fractions(-30, 30, max_denominator=60)
 )
+# Groups of pairs with the int weights the pass gives them: 1, -1 and k.
+groups = st.lists(
+    st.tuples(st.integers(-12, 12), st.lists(st.tuples(operands, operands), max_size=6)),
+    max_size=4,
+)
 
 
-@given(st.lists(st.tuples(operands, operands), max_size=12))
-def test_dot_is_fraction_arithmetic(pairs):
-    value = _dot(pairs)
-    expected = _fraction_dot(pairs)
+@given(groups, st.integers(1, 12))
+def test_dot_is_fraction_arithmetic(groups, divisor):
+    value = _dot(groups, divisor)
+    expected = _fraction_dot(groups, divisor)
     assert value == expected
     if expected:
         assert type(value) is Fraction
