@@ -1,5 +1,6 @@
 """Fixed-point catalog, tangent characters and the invariant-curve graph."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,20 @@ def test_twist_shifts_by_hyperplane_weights():
                 point.other
             )
             assert shift == expected
+
+
+def test_geometry_is_pinned():
+    # SHA-256 of every fixed point's tangent character and tautological c_1,
+    # and of every curve's endpoints, tangents and class multiple, as the
+    # hand-copied tables of earlier versions gave them.
+    data = [
+        (repr(p), [(repr(w), m) for w, m in tangent_character(p).items()],
+         repr(taut_c1(p, 0)), repr(taut_c1(p, 1)))
+        for p in fixed_points()
+    ]
+    data += [
+        (c.name, c.kind, c.chart, repr(c.endpoints), repr(c.tangents), repr(c.beta))
+        for c in curve_catalog()
+    ]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "1c1afab7e6d131f6a55beee6799ba0320958aa3a232b825c89430e6277d5a7f6"
