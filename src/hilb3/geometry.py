@@ -3,11 +3,13 @@
 The two-dimensional torus acts on the plane with three fixed points, indexed
 by charts 0, 1, 2.  Chart ``i`` has local coordinate weights ``(w_i, z_i)``
 expressed below in the global generators ``w, z``.  The induced action on the
-Hilbert scheme of three points has 21 fixed points and 15 invariant curves
-that the Hilbert-Chow morphism contracts; this module records that data
-exactly: tangent characters at fixed points, first Chern classes of the two
-tautological bundles, and the curve catalog with endpoint tangent weights and
-curve-class multiples.
+Hilbert scheme of three points has 22 fixed points, one per 3-coloured
+partition of 3, and 15 invariant curves that the Hilbert-Chow morphism
+contracts; one point, three reduced points at the chart origins, lies on none.
+Each fixed point is a monomial ideal in every chart it meets.  From the boxes
+of those ideals this module derives the tangent characters Hom(I, O/I), the
+first Chern classes of the two tautological bundles, and the curve catalog
+with endpoint tangent weights and curve-class multiples.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "hyperplane_weight",
     "chart_weight",
     "fixed_points",
+    "ideals",
     "tangent_character",
     "tangent_euler",
     "taut_c1",
@@ -62,17 +65,16 @@ def chart_weight(chart: int, a: int | Fraction, b: int | Fraction) -> Weight:
 
 @dataclass(frozen=True, order=True)
 class FixedPoint:
-    """A torus-fixed length-3 subscheme.
+    """A torus-fixed length-3 subscheme: a monomial ideal in each chart it meets.
 
-    Two shapes occur:
+    In the local coordinates ``x, y`` of weights ``(w_i, z_i)``, two shapes occur:
 
-    * ``punctual``: the full length sits at one chart's origin.  ``stratum``
-      0 is the square of the maximal ideal (the symmetric triple point);
-      strata 1 and 2 are the two curvilinear triples of third contact order
-      along the two axes.
-    * ``pair``: a length-2 subscheme at chart ``chart`` plus a reduced point
-      at chart ``other``.  ``local`` 1 and 2 pick the axis the doubled point
-      points along.
+    * ``punctual``: the full length sits at chart ``chart``'s origin.
+      ``stratum`` 0, 1 and 2 are the ideals (x^2, xy, y^2), (x, y^3) and
+      (x^3, y).
+    * ``pair``: a doubled point at chart ``chart``, (x, y^2) for ``local`` 1
+      and (x^2, y) for ``local`` 2, plus the reduced point (x, y) at chart
+      ``other``; :func:`ideals` gives these ideals by their boxes.
 
     Field order gives the lexicographic comparison used to normalize which
     marked point goes first: dataclass ordering compares
@@ -111,7 +113,8 @@ class FixedPoint:
 
 @lru_cache(maxsize=None)
 def fixed_points() -> tuple[FixedPoint, ...]:
-    """All 21 torus-fixed points: 9 punctual and 12 pair-type."""
+    """The 21 torus-fixed points that label vertices: 9 punctual and 12 pair-type.
+    The 22nd, three reduced points at the chart origins, is on no contracted curve."""
     points = [FixedPoint.punctual(i, k) for i in CHARTS for k in (0, 1, 2)]
     points += [
         FixedPoint.pair(i, j, s)
@@ -123,31 +126,44 @@ def fixed_points() -> tuple[FixedPoint, ...]:
     return tuple(points)
 
 
-# Tangent characters as local exponent pairs (a, b), one entry per weight
-# a*w_i + b*z_i in the distinguished chart.  Pair-type points carry four
-# weights in the doubled point's chart and two in the reduced point's chart.
-_TANGENT_PUNCTUAL = {
-    0: ((-1, 0), (-1, 0), (0, -1), (0, -1), (-2, 1), (1, -2)),
-    1: ((-1, 2), (-1, 1), (-1, 0), (0, -3), (0, -2), (0, -1)),
-    2: ((-3, 0), (-2, 0), (-1, 0), (2, -1), (1, -1), (0, -1)),
+# The boxes (p, q) of each ideal at ``chart``: the monomials x^p y^q outside it.
+_BOXES = {
+    ("punctual", 0): ((0, 0), (1, 0), (0, 1)),  # (x^2, xy, y^2)
+    ("punctual", 1): ((0, 0), (0, 1), (0, 2)),  # (x, y^3)
+    ("punctual", 2): ((0, 0), (1, 0), (2, 0)),  # (x^3, y)
+    ("pair", 1): ((0, 0), (0, 1)),  # (x, y^2)
+    ("pair", 2): ((0, 0), (1, 0)),  # (x^2, y)
 }
-_TANGENT_PAIR = {
-    1: ((-1, 1), (-1, 0), (0, -2), (0, -1)),
-    2: ((-2, 0), (-1, 0), (1, -1), (0, -1)),
-}
-_TANGENT_REDUCED = ((-1, 0), (0, -1))
+
+
+def ideals(point: FixedPoint) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The point's ideal in each chart it meets, as ``(chart, boxes)`` pairs: the
+    Young diagram of the partition that indexes it in that chart's Hilbert scheme."""
+    if point.kind == "punctual":
+        return ((point.chart, _BOXES["punctual", point.stratum]),)
+    return ((point.chart, _BOXES["pair", point.local]), (point.other, ((0, 0),)))
+
+
+def _local_weights(boxes: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """Exponents ``(a, b)`` of the weights ``a*w_i + b*z_i`` of Hom(I, O/I).
+
+    A box with arm ``a`` (the boxes after it along x) and leg ``l`` (the boxes
+    after it along y) gives ``(a, -l-1)`` and ``(-a-1, l)`` (Ellingsrud-Stromme).
+    """
+    weights = []
+    for p, q in boxes:
+        arm = sum(1 for s, t in boxes if t == q and s > p)
+        leg = sum(1 for s, t in boxes if s == p and t > q)
+        weights += [(arm, -leg - 1), (-arm - 1, leg)]
+    return weights
 
 
 @lru_cache(maxsize=None)
 def tangent_character(point: FixedPoint) -> VirtualCharacter:
     """Six-dimensional tangent representation at a fixed point."""
-    if point.kind == "punctual":
-        pairs = _TANGENT_PUNCTUAL[point.stratum]
-        weights = [chart_weight(point.chart, a, b) for a, b in pairs]
-    else:
-        weights = [chart_weight(point.chart, a, b) for a, b in _TANGENT_PAIR[point.local]]
-        weights += [chart_weight(point.other, a, b) for a, b in _TANGENT_REDUCED]
-    return VirtualCharacter((w, 1) for w in weights)
+    return VirtualCharacter(
+        (chart_weight(c, a, b), 1) for c, boxes in ideals(point) for a, b in _local_weights(boxes)
+    )
 
 
 def tangent_euler(point: FixedPoint, spec: Specialization) -> Fraction:
@@ -155,27 +171,23 @@ def tangent_euler(point: FixedPoint, spec: Specialization) -> Fraction:
     return tangent_character(point).euler(spec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def taut_c1(point: FixedPoint, twist: int) -> Weight:
     """First Chern class of a tautological bundle restricted to a fixed point.
 
     ``twist`` selects the bundle: 0 is the structure-sheaf pushforward, 1 the
-    hyperplane-twisted one.
+    hyperplane-twisted one.  A box ``(a, b)`` in chart ``i`` has the weight
+    ``a*w_i + b*z_i``, shifted by ``twist`` times the chart's hyperplane weight.
     """
+    if not isinstance(twist, int) or isinstance(twist, bool):
+        raise TypeError(f"twist must be an int, got {twist!r}")
     if twist not in (0, 1):
         raise ValueError(f"twist must be 0 or 1, got {twist}")
-    i = point.chart
-    wi, zi = torus_weights(i)
-    if point.kind == "pair":
-        base = zi if point.local == 1 else wi
-        if twist == 0:
-            return base
-        gi, gj = hyperplane_weight(i), hyperplane_weight(point.other)
-        return base + gi.scaled(2) + gj
-    base = {0: wi + zi, 1: zi.scaled(3), 2: wi.scaled(3)}[point.stratum]
-    if twist == 0:
-        return base
-    return base + hyperplane_weight(i).scaled(3)
+    total = Weight(0, 0)
+    for chart, boxes in ideals(point):
+        for a, b in boxes:
+            total += chart_weight(chart, a, b) + hyperplane_weight(chart).scaled(twist)
+    return total
 
 
 @dataclass(frozen=True)
@@ -205,53 +217,40 @@ class Curve:
         return self.name
 
 
-def _pair_curve(i: int, j: int) -> Curve:
-    # Doubled point at chart i sliding between its two axis directions,
-    # reduced point parked at chart j.
-    first = FixedPoint.pair(i, j, 1)
-    second = FixedPoint.pair(i, j, 2)
-    t_first = chart_weight(i, -1, 1)
-    return Curve(
-        name=f"pair({i},{j})",
-        kind="pair",
-        chart=i,
-        endpoints=(first, second),
-        tangents=(t_first, -t_first),
-        beta=1,
-    )
+def _curve(first: FixedPoint, second: FixedPoint) -> Curve:
+    """The contracted curve from ``first`` to ``second``, points of one support.
 
-
-# Curve tangent weights at the first endpoint of each punctual curve, as
-# local exponents in chart i.  The (1,2) curve triples the primitive class.
-_PUNCTUAL_TANGENT_FIRST = {(0, 1): (1, -2), (0, 2): (-2, 1), (1, 2): (-1, 1)}
-_PUNCTUAL_BETA = {(0, 1): 1, (0, 2): 1, (1, 2): 3}
-
-
-def _punctual_curve(i: int, j: int, k: int) -> Curve:
-    first = FixedPoint.punctual(i, j)
-    second = FixedPoint.punctual(i, k)
-    a, b = _PUNCTUAL_TANGENT_FIRST[(j, k)]
-    t_first = chart_weight(i, a, b)
-    return Curve(
-        name=f"punctual({i};{j},{k})",
-        kind="punctual",
-        chart=i,
-        endpoints=(first, second),
-        tangents=(t_first, -t_first),
-        beta=_PUNCTUAL_BETA[(j, k)],
-    )
+    Its tangent at ``first`` is the one weight of ``first``'s ideal, in a chart
+    both points meet, whose negative is a weight of ``second``'s ideal there.
+    Its class multiple is ``(c_1(first) - c_1(second)) / tangent``.
+    """
+    support = (first.kind, first.chart, first.other)
+    tangents = {
+        chart_weight(chart, a, b)
+        for (chart, boxes), (_, others) in zip(ideals(first), ideals(second))
+        for a, b in set(_local_weights(boxes)) & {(-s, -t) for s, t in _local_weights(others)}
+    }
+    if support != (second.kind, second.chart, second.other) or len(tangents) != 1:
+        raise ValueError(f"no contracted curve joins {first} and {second}")
+    (tangent,) = tangents
+    diff = taut_c1(first, 0) - taut_c1(second, 0)
+    beta = (diff.a if tangent.a else diff.b) // (tangent.a or tangent.b)
+    if tangent.scaled(beta) != diff:
+        raise ValueError(f"c_1 of {first} and {second} differ by no multiple of {tangent}")
+    i = first.chart
+    name = f"pair({i},{first.other})" if first.kind == "pair" else (
+        f"punctual({i};{first.stratum},{second.stratum})")
+    return Curve(name, first.kind, i, (first, second), (tangent, -tangent), beta)
 
 
 @lru_cache(maxsize=None)
 def curve_catalog() -> tuple[Curve, ...]:
     """All 15 contracted invariant curves: 6 pair-type, 9 punctual."""
-    curves = [_pair_curve(i, j) for i in CHARTS for j in CHARTS if i != j]
-    curves += [
-        _punctual_curve(i, j, k)
-        for i in CHARTS
-        for (j, k) in ((0, 1), (0, 2), (1, 2))
-    ]
-    return tuple(curves)
+    ends = [(FixedPoint.pair(i, j, 1), FixedPoint.pair(i, j, 2))
+            for i in CHARTS for j in CHARTS if i != j]
+    ends += [(FixedPoint.punctual(i, j), FixedPoint.punctual(i, k))
+             for i in CHARTS for j, k in ((0, 1), (0, 2), (1, 2))]
+    return tuple(_curve(first, second) for first, second in ends)
 
 
 @lru_cache(maxsize=None)

@@ -137,10 +137,15 @@ def edge_euler_closed(i: int, j: int, degree: int, point: Specialization) -> Rat
     """Closed form for the edge Euler factor of the curve joining charts i, j.
 
     Valid for the curves of residual pairs; provides an independent route to
-    the same factor that :func:`edge_euler` computes term by term.
+    the same factor that :func:`edge_euler` computes term by term.  Where one
+    of ``w_i, z_i, w_j, z_j, w_i - z_i`` vanishes it raises, as
+    :func:`edge_euler` does, rather than return 0 or divide by zero.
     """
-    wi, zi = (evaluate_weight(t, point) for t in torus_weights(i))
-    wj, zj = (evaluate_weight(t, point) for t in torus_weights(j))
+    wi, zi, wj, zj = (
+        invertible(evaluate_weight(t, point), f"weight {t}", point)
+        for t in torus_weights(i) + torus_weights(j)
+    )
+    invertible(wi - zi, "w_i - z_i", point)
     d = degree
     sign = -1 if d % 2 == 0 else 1
     numerator = sign * math.factorial(d - 1) ** 2 * wi * wj * zi * zj * (wi - zi) ** 2

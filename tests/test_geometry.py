@@ -1,12 +1,15 @@
 """Fixed-point catalog, tangent characters and the invariant-curve graph."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 
+from hilb3 import geometry
 from hilb3.geometry import (
     FixedPoint,
+    _curve,
     chart_weight,
     curve_catalog,
     curves_through,
@@ -128,6 +131,27 @@ def test_tangent_at_rejects_foreign_point():
     curve = pair_curve(0, 1)
     with pytest.raises(ValueError):
         curve.tangent_at(FixedPoint.punctual(2, 2))
+
+
+def test_no_curve_joins_points_of_different_support():
+    # Hilbert-Chow contracts each curve to one point of Sym^3, so the two
+    # endpoints sit over the same charts with the same lengths.
+    cases = [
+        (FixedPoint.punctual(0, 0), FixedPoint.pair(0, 1, 1)),
+        (FixedPoint.pair(0, 1, 1), FixedPoint.pair(0, 2, 2)),
+        (FixedPoint.punctual(0, 1), FixedPoint.punctual(1, 2)),
+    ]
+    for first, second in cases:
+        with pytest.raises(ValueError, match=re.escape(f"joins {first} and {second}")):
+            _curve(first, second)
+
+
+def test_curve_refuses_a_c1_difference_off_its_tangent(monkeypatch):
+    # The class multiple is a ratio of weights only when c_1(first) - c_1(second)
+    # lies on the tangent line; a box read as (b, a) in c_1 breaks that.
+    monkeypatch.setattr(geometry, "taut_c1", lambda point, twist: Weight(point.stratum, 0))
+    with pytest.raises(ValueError, match="differ by no multiple"):
+        _curve(FixedPoint.punctual(0, 0), FixedPoint.punctual(0, 1))
 
 
 def test_curves_through_degrees():

@@ -12,6 +12,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -311,6 +312,29 @@ def test_closed_euler_agrees_on_random_specializations(i, j, degree, seed):
     assert edge_euler(pair_curve(i, j), degree, point) == edge_euler_closed(
         i, j, degree, point
     )
+
+
+def _or_refused(route, *args):
+    try:
+        return route(*args)
+    except DegenerateSpecializationError:
+        return "refused"
+
+
+def test_closed_euler_refuses_where_the_engine_refuses():
+    # One point (b, -a) on each wall a*w + b*z = 0 of degree 6, every pair
+    # curve, d = 1..6: the closed form must neither return 0 nor divide by
+    # zero where the engine raises.
+    outcomes = {}
+    for wall in forbidden_weights(6):
+        point = Specialization(wall.b, -wall.a)
+        for i, j in permutations(range(3), 2):
+            for degree in range(1, 7):
+                engine = _or_refused(edge_euler.__wrapped__, pair_curve(i, j), degree, point)
+                closed = _or_refused(edge_euler_closed, i, j, degree, point)
+                key = (engine == "refused", engine == closed)
+                outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {(True, True): 324, (False, True): 4644}
 
 
 def _clear_sums():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hilb3 import fock, scalars
-from hilb3.geometry import curve_catalog, fixed_points, pair_curve, tangent_character, taut_c1
+from hilb3.geometry import (
+    FixedPoint,
+    curve_catalog,
+    fixed_points,
+    pair_curve,
+    tangent_character,
+    taut_c1,
+)
 from hilb3.graphs import enumerate_graphs, pair_family
 from hilb3.invariants import two_point_pairing, verify_identities
 from hilb3.localization import edge_character, edge_euler, forbidden_weights, graph_sum
@@ -231,6 +238,10 @@ def test_bools_are_rejected_where_floats_are():
         sample_specializations(True)
     with pytest.raises(TypeError, match="must be an int"):
         two_point_pairing(2, num_points=True)
+    with pytest.raises(TypeError, match="must be an int"):
+        taut_c1(FixedPoint.punctual(0, 0), True)
+    with pytest.raises(TypeError, match="must be an int"):
+        taut_c1(FixedPoint.punctual(0, 0), 1.0)
 
 
 _F = [Fraction(-27), Fraction(27), Fraction(54), Fraction(27)]
