@@ -487,6 +487,25 @@ def test_graph_sums_to_degree_10_at_two_points_are_pinned():
     assert digest == "09d672c39e8eb863b7e06b41a10c245c9542ca85107a1cce8672567c3831b8ae"
 
 
+def test_graph_sums_in_degrees_11_and_12_at_two_points_are_pinned():
+    # SHA-256 of every family's graph sums in degrees 11 and 12 at the two
+    # points above, as the pass gave them when it ran on Fraction objects.
+    # Ascending from cold, each degree runs its own pass.
+    points = (
+        Specialization(Fraction(-41, 19), Fraction(-13, 67)),
+        Specialization(Fraction(-83, 61), Fraction(-23, 89)),
+    )
+    _clear_sums()
+    data = [
+        (family.name, d, point.as_strings(), str(graph_sum(family, d, point)))
+        for d in (11, 12)
+        for point in points
+        for family in FAMILIES
+    ]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "964288e9f4bf1362358daa0e2eb5378d4fa87810a3bc7e1f1d31e5a7c45f65ec"
+
+
 def test_graph_sums_are_fractions_even_when_empty():
     # The pass seeds its sums with ints; every value it returns, the empty
     # families' zeros included, is still a Fraction.
