@@ -10,7 +10,7 @@ factors (Euler classes of fixed-point tangent spaces) and flag factors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -45,6 +45,10 @@ from .scalars import (
 _GRAPH_SUM_CACHE_SIZE = 8192
 _PASS_CACHE_SIZE = 2048
 _EDGE_EULER_CACHE_SIZE = 8192
+
+# A value inside a recursion pass: a reduced pair (num, den) with den > 0.
+# Zero is the int 0, so a zero value is falsy.
+Pair = tuple[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +201,7 @@ def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Flag:
     """One end of a degree-``degree`` cover of a family curve, at one point.
 
@@ -208,86 +212,125 @@ class _Flag:
     the label's tangent Euler factor ``E``, and ``cost`` its beta-weighted
     degree.  ``nodes`` are the factors ``1/(omega + omega_f)`` for the flags
     ``f`` at the same label, cheapest first, that fit with this one in the
-    pass's degree.  :func:`_flags` inverts all these forms.
+    pass's degree.  :func:`_flags` inverts all these forms.  Every value is
+    a :data:`Pair`.
     """
 
     index: int
     far: int
     cost: int
-    weight: Rational
-    edge: Rational
-    series: tuple[Rational, ...]
-    nodes: tuple[Rational, ...] = ()
+    weight: Pair
+    edge: Pair
+    series: tuple[Pair, ...]
+    nodes: tuple[Pair, ...] = ()
+
+
+def _reduced(num: int, den: int) -> Pair:
+    """``num/den`` as a :data:`Pair`; ``num`` and ``den`` are nonzero."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 def _flags(
     curves: tuple[Curve, ...], top: int, point: Specialization
-) -> tuple[dict[FixedPoint, list[_Flag]], dict[FixedPoint, Rational]]:
+) -> tuple[dict[FixedPoint, list[_Flag]], dict[FixedPoint, Pair]]:
     """The flags of every cover that fits in degree ``top``, grouped by label
-    and cheapest first, and each label's tangent Euler factor ``E``.
+    and cheapest first, and each label's tangent Euler factor ``E``, all as
+    reduced pairs.
 
     These are all the values of a pass that depend on the point, so a pass
     raises here or nowhere.
     """
     labels = {label for curve in curves if curve.beta <= top for label in curve.endpoints}
-    euler = {label: tangent_euler(label, point) for label in labels}
+    euler = {}
+    for label in labels:
+        value = tangent_euler(label, point)
+        euler[label] = (value.numerator, value.denominator)
     flags: dict[FixedPoint, list[_Flag]] = {}
     count = 0
     for curve in curves:
         for degree in range(1, top // curve.beta + 1):
             factor = edge_euler(curve, degree, point)
-            share = Fraction(factor.denominator, degree * factor.numerator)
-            for end, label in enumerate(curve.endpoints):
-                # omega = tangent/degree = num/den; each series entry
-                # omega^-(s+1)/s! is reduced once, from integers.
-                num, den = _parts(curve.tangents[end], point)
-                den *= degree
-                invertible(num, "flag weight", point)
-                series = tuple(
-                    Fraction(den ** (s + 1), num ** (s + 1) * math.factorial(s))
-                    for s in range(top + 1)
-                )
+            # Each end's tangent weight, once per curve.  The degree-1 edge
+            # factor holds both, so a vanishing one is named by that factor.
+            if degree == 1:
+                ends = [
+                    (label, invertible(num, "flag weight", point), den)
+                    for label, (num, den) in zip(
+                        curve.endpoints, (_parts(t, point) for t in curve.tangents)
+                    )
+                ]
+            for end, (label, num, den) in enumerate(ends):
+                # omega = num/(den*degree) = wn/wd.  Its inverse a/b is
+                # reduced, so omega^-(s+1)/s! = a^(s+1)/(b^(s+1) s!) needs a
+                # gcd with s! only, and the powers are kept running.
+                wn, wd = _reduced(num, den * degree)
+                a, b = (wd, wn) if wn > 0 else (-wd, -wn)
+                series, power_a, power_b, fact = [], a, b, 1
+                for s in range(top + 1):
+                    fact *= s or 1
+                    g = math.gcd(power_a, fact)
+                    series.append((power_a // g, power_b * (fact // g)))
+                    power_a *= a
+                    power_b *= b
+                e_num, e_den = euler[label]
                 flags.setdefault(label, []).append(_Flag(
-                    count + end, count + 1 - end, curve.beta * degree, Fraction(num, den),
-                    euler[label] * share, series,
+                    count + end, count + 1 - end, curve.beta * degree, (wn, wd),
+                    _reduced(e_num * factor.denominator, e_den * degree * factor.numerator),
+                    tuple(series),
                 ))
             count += 2
     for here in flags.values():
         here.sort(key=lambda f: f.cost)
-        here[:] = [replace(p, nodes=tuple(
-            _node(p.weight, f.weight, point) for f in here if p.cost + f.cost <= top
-        )) for p in here]
+        for p in here:
+            p.nodes = tuple(
+                _node(p.weight, f.weight, point) for f in here if p.cost + f.cost <= top
+            )
     return flags, euler
 
 
-def _node(omega: Rational, other: Rational, point: Specialization) -> Rational:
+def _node(omega: Pair, other: Pair, point: Specialization) -> Pair:
     """The node factor ``1/(omega + other)``, reduced once."""
-    num = omega.numerator * other.denominator + other.numerator * omega.denominator
+    num = omega[0] * other[1] + other[0] * omega[1]
     invertible(num, "node smoothing weight", point)
-    return Fraction(omega.denominator * other.denominator, num)
+    return _reduced(omega[1] * other[1], num)
 
 
-def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> Rational:
+def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> Pair | int:
     """The exact sum of ``k * x * y / divisor`` over the pairs ``(x, y)`` of
-    every group ``(k, pairs)``, ``k`` an int; the int ``0`` when it vanishes.
+    every group ``(k, pairs)``, ``k`` an int and each operand a :data:`Pair`
+    or the int ``0``; the sum as a :data:`Pair`, or the int ``0`` when it
+    vanishes.
 
-    The sum is formed from integer numerators and denominators over an lcm
-    denominator, at most one gcd per term, and reduced once, into one
-    ``Fraction``.  This is the pass's only multiply-accumulate.
+    The sum is formed over an lcm denominator, at most one gcd per term, and
+    reduced once.  This is the pass's only multiply-accumulate.
     """
     num, den = 0, 1
     for k, pairs in groups:
         for x, y in pairs:
-            n = x.numerator * y.numerator
-            if n:
-                d = x.denominator * y.denominator
+            if x and y:
+                d = x[1] * y[1]
                 if d == den:
-                    num += k * n
+                    num += k * x[0] * y[0]
                 else:
                     g = math.gcd(den, d)
-                    num = num * (d // g) + k * n * (den // g)
+                    num = num * (d // g) + k * x[0] * y[0] * (den // g)
                     den *= d // g
-    return Fraction(num, den * divisor) if num else 0
+    if not num:
+        return 0
+    den *= divisor
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+_ONE = (1, 1)
+
+
+def _times(x: Pair, y: Pair) -> Pair:
+    """The :data:`Pair` of ``x * y``: each numerator is reduced against the
+    other's denominator, as both pairs are already reduced."""
+    g, h = math.gcd(x[0], y[1]), math.gcd(y[0], x[1])
+    return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
 
 
 def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor: int = 1) -> list:
@@ -337,13 +380,14 @@ def _recursion_pass(
     # Subtree sums by channel and order, indexed by the number of the flag
     # at their root on the edge to their parent.  At order 0 a subtree is a
     # leaf: one without the second mark gives omega, one that holds it 1.
+    # Every value is a Pair or the int 0.
     count = sum(len(here) for here in flags.values())
     sums = [[[0] * (top + 1) for _ in range(count)] for _ in marks]
     for label, here in flags.items():
         for f in here:
             sums[0][f.index][0] = f.weight
             if label in marks:
-                sums[marks.index(label)][f.index][0] = 1
+                sums[marks.index(label)][f.index][0] = _ONE
     # A root reads its rows up to order ``top``; any other vertex hangs from
     # a parent flag, which costs at least the cheapest flag at its label.
     tops = {
@@ -364,7 +408,7 @@ def _recursion_pass(
             kids = [f for f in here if f.cost <= order]
             # A child subtree whose sum is zero adds nothing, so it is not multiplied.
             values = [
-                [f.edge * m if (m := channel[f.far][order - f.cost]) else 0 for f in kids]
+                [_times(f.edge, m) if (m := channel[f.far][order - f.cost]) else 0 for f in kids]
                 for channel in sums
             ]
             row, log = rows[label], logs[label]
@@ -375,7 +419,7 @@ def _recursion_pass(
             x = row[0]
             log.append(_product_row(
                 [(k, log[k], x[order - k], order - k - 1) for k in range(1, order)]
-                + [(order, [1], x[order], order - 1)],
+                + [(order, [_ONE], x[order], order - 1)],
                 tops[label], order,
             ))
             # Below t-degree -1, sum_k Lambda_k Y_(c,N-k) in every channel.
@@ -384,7 +428,7 @@ def _recursion_pass(
             below = [
                 _product_row(
                     [(1, log[k], y[order - k], order - k - 1) for k in range(1, order)]
-                    + ([(-1, log[order], [1], 0)] if c == 0 else []),
+                    + ([(-1, log[order], [_ONE], 0)] if c == 0 else []),
                     order - 1,
                 )
                 for c, y in enumerate(row)
@@ -392,7 +436,7 @@ def _recursion_pass(
             if label in firsts:
                 for c, mark in enumerate(marks[1:], 1):
                     ends = values[c] + below[c][-1:]
-                    roots[label, mark][order] = _dot([(1, [(v, 1) for v in ends])])
+                    roots[label, mark][order] = _dot([(1, [(v, _ONE) for v in ends])])
             for parent in here:
                 if order + parent.cost > top:
                     break
@@ -403,8 +447,12 @@ def _recursion_pass(
                     if label == mark:
                         groups.append(_extract(log[order], parent, order - 1))
                     sums[c][parent.index][order] = _dot(groups)
+    # One Fraction per placement and degree: the root's value over its E.
     return {
-        (first, second): tuple(value / euler[first] for value in roots[first, second][1:])
+        (first, second): tuple(
+            Fraction(v[0] * euler[first][1], v[1] * euler[first][0]) if v else Fraction(0)
+            for v in roots[first, second][1:]
+        )
         for first, second in placements
     }
 
@@ -461,6 +509,12 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     series arithmetic only; each of them, and every tangent weight, goes
     through :func:`~hilb3.scalars.invertible` and raises
     :class:`DegenerateSpecializationError` when it vanishes.
+
+    Inside a pass every value is an exact reduced integer :data:`Pair` or
+    the int 0, not a ``Fraction``.  The pass does arithmetic in four places
+    only: the sums of products of :func:`_dot`, the child values of
+    :func:`_times`, the leaf seeds, and one ``Fraction`` per placement and
+    degree, the root's value over its ``E``, which is what this returns.
     :func:`graph_contribution` over :func:`~hilb3.graphs.enumerate_graphs`
     gives the same value one graph at a time.
 

@@ -1,11 +1,13 @@
 """Exact rational scalars, torus weights and specialization sampling.
 
-Every value in this package is a ``fractions.Fraction``; no floats appear
-anywhere.  A weight is an integer (or rational) linear form ``a*w + b*z`` in
-the two generators of the torus character lattice, and the specialization it
-is evaluated at fixes the number type.  Identities between rational functions
-are never manipulated symbolically: both sides are evaluated at sampled
-nondegenerate rational points and compared exactly.
+Every rational value in this package is a ``fractions.Fraction``, except
+inside a recursion pass of :mod:`hilb3.localization`, which holds each as a
+reduced integer pair ``(num, den)``; no floats appear anywhere.  A weight is
+an integer (or rational) linear form ``a*w + b*z`` in the two generators of
+the torus character lattice, and the specialization it is evaluated at fixes
+the number type.  Identities between rational functions are never
+manipulated symbolically: both sides are evaluated at sampled nondegenerate
+rational points and compared exactly.
 """
 
 from __future__ import annotations

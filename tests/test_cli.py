@@ -397,3 +397,21 @@ def test_varying_totals_print_a_fail_line_and_exit_one(capsys, monkeypatch, argv
     else:
         assert out.startswith("FAIL: " + message)
         assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+def test_varying_totals_are_printed_exactly_with_their_points(capsys, monkeypatch, json_flag):
+    evaluated = []
+
+    def varying_total(d, point):
+        evaluated.append(point)
+        return Fraction(83 if len(evaluated) == 1 else 85, 2)
+
+    monkeypatch.setattr(invariants, "two_point_total", varying_total)
+    code, out = run_cli(capsys, "invariant", "--d", "1", "--points", "2", *json_flag)
+    assert code == 1
+    text = json.loads(out)["error"] if json_flag else out
+    assert "Fraction(" not in text
+    assert len(evaluated) == 2
+    first, second = (point.as_strings() for point in evaluated)
+    assert f"83/2 at w={first[0]}, z={first[1]}; 85/2 at w={second[0]}, z={second[1]}" in text

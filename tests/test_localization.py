@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -542,6 +542,22 @@ def _fraction_dot(groups, divisor=1):
     return total / divisor
 
 
+def _pairs(groups):
+    """The groups with each operand as the pass holds it: a reduced pair
+    ``(num, den)`` with ``den > 0``, or the int 0."""
+    def pair(x):
+        x = Fraction(x)
+        return (x.numerator, x.denominator) if x else 0
+    return [(k, [(pair(x), pair(y)) for x, y in pairs]) for k, pairs in groups]
+
+
+def _as_fraction(value):
+    """A nonzero :func:`_dot` result, which must be a reduced pair, as a Fraction."""
+    num, den = value
+    assert den > 0 and gcd(num, den) == 1, value
+    return Fraction(num, den)
+
+
 @pytest.mark.parametrize(
     "pairs",
     [
@@ -556,12 +572,11 @@ def _fraction_dot(groups, divisor=1):
     ids=["mixed-ints", "equal-denominators", "zero-operand"],
 )
 def test_dot_is_fraction_arithmetic_on_small_cases(pairs):
-    value = _dot([(1, pairs)])
-    assert type(value) is Fraction
-    assert value == _fraction_dot([(1, pairs)])
+    value = _dot(_pairs([(1, pairs)]))
+    assert _as_fraction(value) == _fraction_dot([(1, pairs)])
     # The same pairs split into weighted groups, over a divisor.
     groups = [(3, pairs[:1]), (-2, pairs[1:])]
-    assert _dot(groups, 6) == _fraction_dot(groups, 6)
+    assert _as_fraction(_dot(_pairs(groups), 6)) == _fraction_dot(groups, 6)
 
 
 @pytest.mark.parametrize(
@@ -582,18 +597,19 @@ def test_dot_is_fraction_arithmetic_on_small_cases(pairs):
 )
 def test_dot_gives_a_falsy_zero_when_the_terms_cancel(pairs):
     assert _fraction_dot([(1, pairs)]) == 0
-    value = _dot([(1, pairs)], 5)
+    value = _dot(_pairs([(1, pairs)]), 5)
     assert not value
     assert value == 0
 
 
 def test_dot_weights_can_cancel_equal_terms():
     # k/N-weighted terms that cancel only through their weights.
-    pairs = [(Fraction(1, 6), Fraction(5, 7))]
+    pairs = [((1, 6), (5, 7))]
     assert _dot([(2, pairs), (1, pairs + pairs), (-4, pairs)], 3) == 0
 
 
-# Operands of every kind the pass multiplies: ints, zeros and fractions.
+# Operand values of every kind the pass multiplies, ints, zeros and fractions;
+# each test hands them to _dot as the pass holds them.
 operands = st.one_of(
     st.integers(-30, 30), st.just(0), st.fractions(-30, 30, max_denominator=60)
 )
@@ -606,13 +622,36 @@ groups = st.lists(
 
 @given(groups, st.integers(1, 12))
 def test_dot_is_fraction_arithmetic(groups, divisor):
-    value = _dot(groups, divisor)
+    value = _dot(_pairs(groups), divisor)
     expected = _fraction_dot(groups, divisor)
-    assert value == expected
     if expected:
-        assert type(value) is Fraction
+        assert _as_fraction(value) == expected
     else:
         assert not value
+        assert value == 0
+
+
+def test_a_pass_builds_one_fraction_per_placement_and_degree(monkeypatch):
+    # Inside a pass every value is a reduced integer pair; the one Fraction
+    # per placement and degree is the graph sum it returns.  The edge Euler
+    # factors are cached Fractions, so they are warmed by a first pass.
+    (point,) = sample_specializations(1, seed=13, forbidden=forbidden_weights(6))
+    systems = sorted({family.curves for family in FAMILIES}, key=repr)
+    expected = {curves: localization._recursion_pass(curves, 6, point) for curves in systems}
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(localization, "Fraction", Counted)
+    for curves in systems:
+        built.clear()
+        totals = localization._recursion_pass(curves, 6, point)
+        assert totals == expected[curves]
+        assert len(built) == 6 * len(totals), [c.name for c in curves]
+        assert all(type(value) is Counted for sums in totals.values() for value in sums)
 
 
 def test_failed_pass_is_not_stored():
