@@ -148,8 +148,8 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
     totals = [two_point_total(d, point) for point in points]
     if any(total != totals[0] for total in totals):
         values = "; ".join(
-            f"{format_rational(total)} at w={w}, z={z}"
-            for total, (w, z) in zip(totals, (point.as_strings() for point in points))
+            f"{format_rational(total)} at w={point.w}, z={point.z}"
+            for total, point in zip(totals, points)
         )
         raise ConsistencyError(
             f"two-point total varies across specializations in degree {d}: {values}"

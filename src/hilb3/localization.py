@@ -49,6 +49,7 @@ _EDGE_EULER_CACHE_SIZE = 8192
 # A value inside a recursion pass: a reduced pair (num, den) with den > 0.
 # Zero is the int 0, so a zero value is falsy.
 Pair = tuple[int, int]
+_ONE: Pair = (1, 1)
 
 
 @lru_cache(maxsize=None)
@@ -321,9 +322,6 @@ def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> Pai
     den *= divisor
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-_ONE = (1, 1)
 
 
 def _times(x: Pair, y: Pair) -> Pair:

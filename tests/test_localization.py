@@ -507,8 +507,8 @@ def test_graph_sums_in_degrees_11_and_12_at_two_points_are_pinned():
 
 
 def test_graph_sums_are_fractions_even_when_empty():
-    # The pass seeds its sums with ints; every value it returns, the empty
-    # families' zeros included, is still a Fraction.
+    # Inside the pass a value is an integer pair or the int 0; every value it
+    # returns, the empty families' zeros included, is still a Fraction.
     points = sample_specializations(2, seed=5, forbidden=forbidden_weights(6))
     zeros = []
     for point in points:
