@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, helptext, *parents):
         p = sub.add_parser(name, help=helptext, parents=[*parents, json_out])
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     command("catalog", _cmd_catalog, "list torus-fixed points and invariant curves")
@@ -399,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser  # the subcommand's, as for argparse's own errors
     for name, most in _BOUNDS.items():
         value = getattr(args, name, None)
         if value is None:

@@ -1,8 +1,11 @@
 """Torus geometry of the Hilbert scheme of three points in the plane.
 
 The two-dimensional torus acts on the plane with three fixed points, indexed
-by charts 0, 1, 2.  Chart ``i`` has local coordinate weights ``(w_i, z_i)``
-expressed below in the global generators ``w, z``.  The induced action on the
+by charts 0, 1, 2.  One table gives the weights of the homogeneous
+coordinates ``x_0, x_1, x_2`` in the global generators ``w, z``.  Chart
+``i``'s local coordinates are ``x_j/x_i`` for the two other charts ``j``, so
+its weights ``(w_i, z_i)`` are differences of entries of that table, and its
+hyperplane weight is the entry of ``x_i``.  The induced action on the
 Hilbert scheme of three points has 22 fixed points, one per 3-coloured
 partition of 3, and 15 invariant curves that the Hilbert-Chow morphism
 contracts; one point, three reduced points at the chart origins, lies on none.
@@ -23,6 +26,8 @@ from .scalars import Specialization, VirtualCharacter, Weight
 
 __all__ = [
     "CHARTS",
+    "CHART_PAIRS",
+    "STRATUM_PAIRS",
     "FixedPoint",
     "Curve",
     "torus_weights",
@@ -38,23 +43,26 @@ __all__ = [
 ]
 
 CHARTS = (0, 1, 2)
+# The ordered pairs of distinct charts, row-major.
+CHART_PAIRS = tuple((i, j) for i in CHARTS for j in CHARTS if i != j)
+# The pairs of punctual strata that a contracted curve in one chart joins.
+STRATUM_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# Local coordinate weights (w_i, z_i) of the three plane charts in the
-# global character generators.
-_CHART_W = {0: Weight(1, 0), 1: Weight(-1, 0), 2: Weight(0, -1)}
-_CHART_Z = {0: Weight(0, 1), 1: Weight(-1, 1), 2: Weight(1, -1)}
-
-# Weight of the hyperplane line bundle restricted to the chart's fixed point.
-_HYPERPLANE = {0: Weight(0, 0), 1: Weight(1, 0), 2: Weight(0, 1)}
+# Weights of the homogeneous coordinates x_0, x_1, x_2 in the global
+# character generators, and from them each chart's (see torus_weights).
+_COORDINATES = {0: Weight(0, 0), 1: Weight(1, 0), 2: Weight(0, 1)}
+_TORUS_WEIGHTS = {i: tuple(_COORDINATES[j] - _COORDINATES[i] for c, j in CHART_PAIRS if c == i)
+                  for i in CHARTS}
 
 
 def torus_weights(chart: int) -> tuple[Weight, Weight]:
-    """The pair (w_i, z_i) of local coordinate weights for a chart."""
-    return _CHART_W[chart], _CHART_Z[chart]
+    """The weights (w_i, z_i) of chart i's coordinates x_j/x_i, the other charts j in order."""
+    return _TORUS_WEIGHTS[chart]
 
 
 def hyperplane_weight(chart: int) -> Weight:
-    return _HYPERPLANE[chart]
+    """The hyperplane bundle's weight at chart i's fixed point: that of ``x_i``."""
+    return _COORDINATES[chart]
 
 
 def chart_weight(chart: int, a: int | Fraction, b: int | Fraction) -> Weight:
@@ -116,13 +124,7 @@ def fixed_points() -> tuple[FixedPoint, ...]:
     """The 21 torus-fixed points that label vertices: 9 punctual and 12 pair-type.
     The 22nd, three reduced points at the chart origins, is on no contracted curve."""
     points = [FixedPoint.punctual(i, k) for i in CHARTS for k in (0, 1, 2)]
-    points += [
-        FixedPoint.pair(i, j, s)
-        for i in CHARTS
-        for j in CHARTS
-        if i != j
-        for s in (1, 2)
-    ]
+    points += [FixedPoint.pair(i, j, s) for i, j in CHART_PAIRS for s in (1, 2)]
     return tuple(points)
 
 
@@ -246,10 +248,9 @@ def _curve(first: FixedPoint, second: FixedPoint) -> Curve:
 @lru_cache(maxsize=None)
 def curve_catalog() -> tuple[Curve, ...]:
     """All 15 contracted invariant curves: 6 pair-type, 9 punctual."""
-    ends = [(FixedPoint.pair(i, j, 1), FixedPoint.pair(i, j, 2))
-            for i in CHARTS for j in CHARTS if i != j]
+    ends = [(FixedPoint.pair(i, j, 1), FixedPoint.pair(i, j, 2)) for i, j in CHART_PAIRS]
     ends += [(FixedPoint.punctual(i, j), FixedPoint.punctual(i, k))
-             for i in CHARTS for j, k in ((0, 1), (0, 2), (1, 2))]
+             for i in CHARTS for j, k in STRATUM_PAIRS]
     return tuple(_curve(first, second) for first, second in ends)
 
 
@@ -268,8 +269,8 @@ def pair_curve(i: int, j: int) -> Curve:
 
 def punctual_curve(i: int, j: int, k: int) -> Curve:
     """The punctual curve in chart ``i`` joining strata ``j`` and ``k``."""
-    name = f"punctual({i};{j},{k})"
     for curve in curve_catalog():
-        if curve.name == name:
+        if curve.kind == "punctual" and curve.chart == i and (
+                tuple(end.stratum for end in curve.endpoints) == (j, k)):
             return curve
     raise ValueError(f"no punctual curve for ({i};{j},{k})")

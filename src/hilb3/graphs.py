@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import Curve, FixedPoint, curve_catalog, fixed_points, pair_curve, punctual_curve
+from .geometry import (CHART_PAIRS, STRATUM_PAIRS, Curve, FixedPoint, curve_catalog,
+                       fixed_points, pair_curve, punctual_curve)
 from .scalars import positive_degree
 
 __all__ = [
@@ -78,20 +79,19 @@ class Family:
 
 
 def pair_family(i: int, j: int) -> Family:
-    """Graphs covering the single pair-type curve over charts (i, j)."""
+    """Graphs covering the single pair-type curve over charts (i, j), named after it."""
     curve = pair_curve(i, j)
-    first, second = sorted(curve.endpoints)
-    return Family(f"pair({i},{j})", (curve,), (first, second))
+    return Family(curve.name, (curve,), tuple(sorted(curve.endpoints)))
 
 
 def punctual_family(i: int, j: int, k: int) -> Family:
-    """Graphs in the punctual triangle of chart ``i`` with marks on strata j, k."""
-    if not 0 <= j < k <= 2:
+    """Graphs in the punctual triangle of chart ``i`` with marks on strata j, k,
+    named after the curve joining the marks."""
+    if (j, k) not in STRATUM_PAIRS:
         raise ValueError(f"need 0 <= j < k <= 2, got ({j},{k})")
-    curves = tuple(
-        punctual_curve(i, a, b) for (a, b) in ((0, 1), (0, 2), (1, 2))
-    )
-    return Family(f"punctual({i};{j},{k})", curves, punctual_curve(i, j, k).endpoints)
+    curves = tuple(punctual_curve(i, a, b) for a, b in STRATUM_PAIRS)
+    marked = punctual_curve(i, j, k)
+    return Family(marked.name, curves, marked.endpoints)
 
 
 # A rooted subtree is encoded as (label, carries_second_mark, children) with
@@ -308,14 +308,12 @@ def validate_graph(family: Family, graph: StableGraph) -> None:
 
 def all_pair_families() -> tuple[Family, ...]:
     """The six ordered-chart pair families."""
-    return tuple(
-        pair_family(i, j) for i in range(3) for j in range(3) if i != j
-    )
+    return tuple(pair_family(i, j) for i, j in CHART_PAIRS)
 
 
 def all_punctual_families(i: int) -> tuple[Family, ...]:
     """The three mark placements for the punctual triangle of chart ``i``."""
-    return tuple(punctual_family(i, j, k) for (j, k) in ((0, 1), (0, 2), (1, 2)))
+    return tuple(punctual_family(i, j, k) for j, k in STRATUM_PAIRS)
 
 
 def catalog_summary() -> dict:

@@ -35,7 +35,8 @@ from .fock import (
     vector,
     wdvv_consistency,
 )
-from .geometry import FixedPoint, hyperplane_weight, taut_c1, torus_weights
+from .geometry import (CHART_PAIRS, CHARTS, STRATUM_PAIRS, FixedPoint, hyperplane_weight,
+                       taut_c1, torus_weights)
 from .graphs import pair_family, punctual_family
 from .localization import forbidden_weights, graph_sum
 from .scalars import (
@@ -87,7 +88,7 @@ def punctual_mark_factor(i: int, j: int, k: int, spec: Specialization) -> Ration
 def punctual_family_term(d: int, i: int, spec: Specialization) -> Rational:
     """Weighted graph sums of the three punctual families supported in chart i."""
     total = Fraction(0)
-    for j, k in ((0, 1), (0, 2), (1, 2)):
+    for j, k in STRATUM_PAIRS:
         factor = punctual_mark_factor(i, j, k, spec)
         if factor != 0:
             total += factor * graph_sum(punctual_family(i, j, k), d, spec)
@@ -97,10 +98,9 @@ def punctual_family_term(d: int, i: int, spec: Specialization) -> Rational:
 def two_point_total(d: int, spec: Specialization) -> Rational:
     """The full localized two-point sum at one specialization."""
     total = Fraction(0)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                total += pair_family_term(d, i, j, spec)
+    for i, j in CHART_PAIRS:
+        total += pair_family_term(d, i, j, spec)
+    for i in CHARTS:
         total += punctual_family_term(d, i, spec)
     return total
 
@@ -169,6 +169,7 @@ def _local_values(i: int, spec: Specialization) -> tuple[Rational, Rational]:
 
 def pair_sum_closed(d: int, i: int, j: int, spec: Specialization) -> Rational:
     """Closed form of the residual-pair family graph sum, any degree."""
+    positive_degree(d)
     wi, zi = _local_values(i, spec)
     wj, zj = _local_values(j, spec)
     return (wi + zi) / (d * wi * wj * (wi - zi) ** 2 * zi * zj)
@@ -239,7 +240,7 @@ _FAMILY_CUBIC = {1: -6, 2: 12, 3: 21, 4: 12}
 
 def family_term_closed(d: int, i: int, spec: Specialization) -> Rational:
     """Closed form of the chart-``i`` punctual family term, degrees 1 to 4."""
-    if d not in _FAMILY_CUBIC:
+    if positive_degree(d) not in _FAMILY_CUBIC:
         raise ValueError("closed form known only for degrees 1 through 4")
     g = evaluate_weight(hyperplane_weight(i), spec)
     w, z = _local_values(i, spec)
@@ -290,16 +291,14 @@ def _stratum_recursed(d: int, i: int, j: int, k: int, spec: Specialization) -> R
 
 
 def _charts(*strata: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((i, *strata) for i in range(3))
+    return tuple((i, *strata) for i in CHARTS)
 
-
-_CHART_PAIRS = tuple((i, j) for i in range(3) for j in range(3) if i != j)
 
 # One row per identity: its name, first degree, indices, the context text
 # that a failure formats with its index, engine side and closed side.  Each
 # side is called as ``side(d, *index, point)``.
 _IDENTITIES = (
-    ("pair family sum", 1, _CHART_PAIRS, "(i,j)=({},{})", _pair_sum, pair_sum_closed),
+    ("pair family sum", 1, CHART_PAIRS, "(i,j)=({},{})", _pair_sum, pair_sum_closed),
     ("punctual family sum, strata (0,1)", 1, _charts(0, 1), "i={}",
      _stratum_sum, _stratum_closed),
     ("punctual family sum, strata (0,1), alternative shape", 2, _charts(0, 1), "i={}",
@@ -326,7 +325,7 @@ def verify_identities(
     if num_specs < 1:
         raise ValueError("need at least one specialization")
     points = sample_specializations(num_specs, seed=seed, forbidden=forbidden_weights(d_max))
-    marks = tuple((i, j, k) for i in range(3) for j, k in ((0, 1), (0, 2), (1, 2)))
+    marks = tuple((i, j, k) for i in CHARTS for j, k in STRATUM_PAIRS)
     # Each record's name, the leading arguments of both sides and the rest of
     # its row, with the degrees ascending.
     records = [("mark factors match their displays", (), marks, "i={} strata=({},{})",

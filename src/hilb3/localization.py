@@ -151,7 +151,7 @@ def edge_euler_closed(i: int, j: int, degree: int, point: Specialization) -> Rat
         for t in torus_weights(i) + torus_weights(j)
     )
     invertible(wi - zi, "w_i - z_i", point)
-    d = degree
+    d = positive_degree(degree)
     sign = -1 if d % 2 == 0 else 1
     numerator = sign * math.factorial(d - 1) ** 2 * wi * wj * zi * zj * (wi - zi) ** 2
     denominator = (wi + zi)
@@ -331,6 +331,13 @@ def _times(x: Pair, y: Pair) -> Pair:
     return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
 
 
+def _coefficient(k: int, left: list, right: list, m: int) -> tuple[int, Iterable]:
+    """The :func:`_dot` group of ``k`` times ``[t^m]`` of the product of the
+    series ``left`` and ``right``; it is empty when ``m = -1``."""
+    low = m + 1 - len(right) if m >= len(right) else 0
+    return k, zip(left[low:m + 1], right[m - low::-1])
+
+
 def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor: int = 1) -> list:
     """The t-degrees below ``length`` of ``sum k t^shift left right / divisor``
     over ``terms`` ``(k, left, right, shift)``, each one :func:`_dot` over all terms."""
@@ -338,10 +345,8 @@ def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor:
     for n in range(length):
         groups = []
         for k, left, right, shift in terms:
-            m = n - shift
-            if m >= 0:
-                low = max(m + 1 - len(right), 0)
-                groups.append((k, zip(left[low:m + 1], right[m - low::-1])))
+            if n >= shift:
+                groups.append(_coefficient(k, left, right, n - shift))
         row.append(_dot(groups, divisor))
     return row
 
@@ -350,12 +355,6 @@ def _child_row(kids: list[_Flag], values: list, length: int) -> list:
     """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
     live = [(a, f.series) for f, a in zip(kids, values) if a]
     return [_dot([(1, [(a, series[s]) for a, series in live])]) for s in range(length)]
-
-
-def _extract(row: list, parent: _Flag, e: int) -> tuple[int, Iterable]:
-    """The pairs whose products sum to ``[t^e]`` of ``row`` times the parent
-    flag's ``(1/omega) e^(t/omega)``, as a :func:`_dot` group."""
-    return 1, zip(row[:e + 1], parent.series[e::-1])
 
 
 def _recursion_pass(
@@ -398,7 +397,7 @@ def _recursion_pass(
     # children's ``sum_f e_f M_f`` plus ``[t^-2] (Y_c Lambda)_N``.
     rows = {label: [[[]] for _ in marks] for label in flags}
     logs = {label: [[]] for label in flags}
-    roots = {(label, s): [0] * (top + 1) for label in firsts for s in marks[1:]}
+    roots = {placement: [0] * (top + 1) for placement in placements}
     for order in range(1, top + 1):
         for label, here in flags.items():
             if order > tops[label]:
@@ -431,8 +430,8 @@ def _recursion_pass(
                 )
                 for c, y in enumerate(row)
             ]
-            if label in firsts:
-                for c, mark in enumerate(marks[1:], 1):
+            for c, mark in enumerate(marks[1:], 1):
+                if (label, mark) in roots:
                     ends = values[c] + below[c][-1:]
                     roots[label, mark][order] = _dot([(1, [(v, _ONE) for v in ends])])
             for parent in here:
@@ -441,9 +440,9 @@ def _recursion_pass(
                 for c, mark in enumerate(marks):
                     # The kids are a prefix of the parent's nodes.
                     groups = [(1, zip(values[c], parent.nodes))]
-                    groups.append(_extract(below[c], parent, order - 2))
+                    groups.append(_coefficient(1, below[c], parent.series, order - 2))
                     if label == mark:
-                        groups.append(_extract(log[order], parent, order - 1))
+                        groups.append(_coefficient(1, log[order], parent.series, order - 1))
                     sums[c][parent.index][order] = _dot(groups)
     # One Fraction per placement and degree: the root's value over its E.
     return {

@@ -167,6 +167,26 @@ def _usage_error(capsys, *argv):
     return info.value.code, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariant", "--d", "0"], "--d must be a positive integer"),
+        (["graphs", "--family", "pair", "--i", "0", "--j", "0", "--d", "1"],
+         "no pair curve for charts (0,0)"),
+    ],
+)
+def test_usage_errors_of_the_cli_checks_name_the_subcommand(capsys, argv, message):
+    # argparse reports a missing option with the subcommand's usage; the
+    # bounds and family checks must print the same usage and prefix.
+    command = argv[0]
+    _, own = _usage_error(capsys, command)
+    code, err = _usage_error(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"usage: hilb3 {command} ")
+    assert err.split("error:")[0] == own.split("error:")[0]
+    assert err.endswith(f"hilb3 {command}: error: {message}\n")
+
+
 def test_graphs_degree_zero_is_usage_error(capsys):
     code, err = _usage_error(capsys, "graphs", "--family", "pair", "--i", "0", "--j", "1", "--d", "0")
     assert code == 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilb3.geometry import pair_curve
+from hilb3.geometry import CHART_PAIRS, CHARTS, STRATUM_PAIRS, curve_catalog, pair_curve
 from hilb3.graphs import (
     Edge,
     Family,
@@ -34,7 +34,7 @@ from hilb3.localization import graph_contribution
 from hilb3.scalars import Specialization
 
 FAMILIES = all_pair_families() + tuple(
-    family for chart in range(3) for family in all_punctual_families(chart)
+    family for chart in CHARTS for family in all_punctual_families(chart)
 )
 
 
@@ -161,6 +161,19 @@ def test_catalog_summary():
         "pair_curves": 6,
         "punctual_curves": 9,
     }
+
+
+def test_catalog_order_follows_the_index_sets():
+    # Pair curves over the chart pairs, then each chart's punctual triangle
+    # over the stratum pairs; every family is named after the curve that
+    # joins its two marks.
+    names = [pair_family(i, j).name for i, j in CHART_PAIRS]
+    names += [punctual_family(i, j, k).name for i in CHARTS for j, k in STRATUM_PAIRS]
+    assert [curve.name for curve in curve_catalog()] == names
+    assert [family.name for family in FAMILIES] == names
+    for family in FAMILIES:
+        joining = [c for c in family.curves if set(c.endpoints) == set(family.mark_labels)]
+        assert [c.name for c in joining] == [family.name]
 
 
 def test_pair_family_counts():

@@ -15,8 +15,19 @@ from hilb3.geometry import (
     taut_c1,
 )
 from hilb3.graphs import enumerate_graphs, pair_family
-from hilb3.invariants import two_point_pairing, verify_identities
-from hilb3.localization import edge_character, edge_euler, forbidden_weights, graph_sum
+from hilb3.invariants import (
+    family_term_closed,
+    pair_sum_closed,
+    two_point_pairing,
+    verify_identities,
+)
+from hilb3.localization import (
+    edge_character,
+    edge_euler,
+    edge_euler_closed,
+    forbidden_weights,
+    graph_sum,
+)
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Specialization,
@@ -259,6 +270,9 @@ _DEGREE_ENTRY_POINTS = {
     "graph_sum": lambda d: graph_sum(pair_family(0, 1), d, _POINT),
     "forbidden_weights": forbidden_weights,
     "verify_identities": verify_identities,
+    "pair_sum_closed": lambda d: pair_sum_closed(d, 0, 1, _POINT),
+    "family_term_closed": lambda d: family_term_closed(d, 0, _POINT),
+    "edge_euler_closed": lambda d: edge_euler_closed(0, 1, d, _POINT),
 }
 
 
