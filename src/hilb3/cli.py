@@ -1,9 +1,11 @@
 """Command-line surface for the curve-count engine and its tables.
 
-Exit codes: 0 on success, 1 when a verification or reproduction check
-fails, 2 on usage errors.  All rational numbers are printed exactly,
-as ``p/q`` strings; JSON payloads carry a ``schema`` field and identical
-invocations produce byte-identical output.
+Each command returns its JSON payload and its plain-text lines; ``main``
+alone prints one of them and sets the exit code: 0 on success, 1 when a
+verification or reproduction check fails, 2 on usage errors.  All
+rational numbers are printed exactly, as ``p/q`` strings; JSON payloads
+carry a ``schema`` field and identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -49,14 +51,8 @@ MAX_POINTS = 1000
 # Every bounded option takes integers from 1 up to its most, if it has one.
 _BOUNDS = {"d": None, "points": MAX_POINTS, "specs": MAX_POINTS, "dmax": RECORDED_TOP_DEGREE}
 
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
-def _emit_json(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
+# What a command returns: its JSON payload and its plain-text stdout lines.
+Output = tuple[dict, list[str]]
 
 
 def _resolve_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Family:
@@ -84,175 +80,128 @@ def _resolve_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(str(exc))
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> Output:
     summary = catalog_summary()
     points = fixed_points()
     curves = curve_catalog()
-    if args.json:
-        _emit_json(
+    payload = {
+        "summary": summary,
+        "fixed_points": [str(p) for p in points],
+        "curves": [
             {
-                "summary": summary,
-                "fixed_points": [str(p) for p in points],
-                "curves": [
-                    {
-                        "name": c.name,
-                        "kind": c.kind,
-                        "contracted_class_multiple": c.beta,
-                        "endpoints": [str(p) for p in c.endpoints],
-                    }
-                    for c in curves
-                ],
+                "name": c.name,
+                "kind": c.kind,
+                "contracted_class_multiple": c.beta,
+                "endpoints": [str(p) for p in c.endpoints],
             }
-        )
-        return 0
-    _emit(f"fixed points: {summary['fixed_points']}")
-    for p in points:
-        _emit(f"  {p}")
-    _emit(
+            for c in curves
+        ],
+    }
+    lines = [f"fixed points: {summary['fixed_points']}", *(f"  {p}" for p in points)]
+    lines.append(
         f"invariant curves: {summary['curves']} "
         f"({summary['pair_curves']} pair, {summary['punctual_curves']} punctual)"
     )
     for c in curves:
         ends = ", ".join(str(p) for p in c.endpoints)
-        _emit(f"  {c.name}: class multiple {c.beta}, endpoints {ends}")
-    return 0
+        lines.append(f"  {c.name}: class multiple {c.beta}, endpoints {ends}")
+    return payload, lines
 
 
-def _cmd_graphs(args: argparse.Namespace) -> int:
+def _cmd_graphs(args: argparse.Namespace) -> Output:
     graphs = enumerate_graphs(args.family, args.d)
-    if args.json:
-        _emit_json(
+    orders = [automorphism_order(g) for g in graphs]
+    payload = {
+        "family": args.family.name,
+        "d": args.d,
+        "count": len(graphs),
+        "graphs": [
             {
-                "family": args.family.name,
-                "d": args.d,
-                "count": len(graphs),
-                "graphs": [
-                    {
-                        "vertices": [str(v) for v in g.vertices],
-                        "marks": list(g.marks),
-                        "edges": [
-                            {
-                                "head": e.head,
-                                "tail": e.tail,
-                                "curve": e.curve.name,
-                                "degree": e.degree,
-                            }
-                            for e in g.edges
-                        ],
-                        "automorphisms": automorphism_order(g),
-                    }
-                    for g in graphs
+                "vertices": [str(v) for v in g.vertices],
+                "marks": list(g.marks),
+                "edges": [
+                    {"head": e.head, "tail": e.tail, "curve": e.curve.name, "degree": e.degree}
+                    for e in g.edges
                 ],
+                "automorphisms": order,
             }
-        )
-        return 0
-    _emit(f"family {args.family.name}, degree {args.d}: {len(graphs)} stable graphs")
-    for n, g in enumerate(graphs, start=1):
+            for g, order in zip(graphs, orders)
+        ],
+    }
+    lines = [f"family {args.family.name}, degree {args.d}: {len(graphs)} stable graphs"]
+    for n, (g, order) in enumerate(zip(graphs, orders), start=1):
         edges = "; ".join(
             f"v{e.head} --[{e.curve.name} x{e.degree}]-- v{e.tail}" for e in g.edges
         )
         labels = ", ".join(f"v{idx} = {point}" for idx, point in enumerate(g.vertices))
         marks = ", ".join(f"v{idx}" for idx in g.marks)
-        _emit(f"  #{n} |A| = {automorphism_order(g)}")
-        _emit(f"     {labels}")
-        _emit(f"     edges: {edges}; marks at {marks}")
-    return 0
+        lines += [f"  #{n} |A| = {order}", f"     {labels}",
+                  f"     edges: {edges}; marks at {marks}"]
+    return payload, lines
 
 
-def _cmd_graphsum(args: argparse.Namespace) -> int:
+def _cmd_graphsum(args: argparse.Namespace) -> Output:
     point = sample_specializations(1, seed=args.seed, forbidden=forbidden_weights(args.d))[0]
-    value = graph_sum(args.family, args.d, point)
+    value = format_rational(graph_sum(args.family, args.d, point))
     w, z = point.as_strings()
-    if args.json:
-        _emit_json(
-            {
-                "family": args.family.name,
-                "d": args.d,
-                "seed": args.seed,
-                "specialization": {"w": w, "z": z},
-                "value": format_rational(value),
-            }
-        )
-        return 0
-    _emit(f"family {args.family.name}, degree {args.d}")
-    _emit(f"specialization: w = {w}, z = {z} (seed {args.seed})")
-    _emit(f"graph sum = {format_rational(value)}")
-    return 0
-
-
-def _cmd_invariant(args: argparse.Namespace) -> int:
-    result = two_point_pairing(args.d, num_points=args.points, seed=args.seed)
-    rows = [
-        {
-            "w": pt.as_strings()[0],
-            "z": pt.as_strings()[1],
-            "total": format_rational(result.value),
-        }
-        for pt in result.points
+    payload = {
+        "family": args.family.name,
+        "d": args.d,
+        "seed": args.seed,
+        "specialization": {"w": w, "z": z},
+        "value": value,
+    }
+    lines = [
+        f"family {args.family.name}, degree {args.d}",
+        f"specialization: w = {w}, z = {z} (seed {args.seed})",
+        f"graph sum = {value}",
     ]
-    if args.json:
-        _emit_json(
-            {
-                "d": args.d,
-                "ab": format_rational(result.value),
-                "invariant": format_rational(result.invariant),
-                "specializations": rows,
-                "verified_constant": result.verified_constant,
-            }
-        )
-        return 0
-    _emit(f"degree {args.d}: invariant = {format_rational(result.invariant)}")
-    _emit(f"raw two-point pairing = {format_rational(result.value)}")
+    return payload, lines
+
+
+def _cmd_invariant(args: argparse.Namespace) -> Output:
+    result = two_point_pairing(args.d, num_points=args.points, seed=args.seed)
+    value, invariant = format_rational(result.value), format_rational(result.invariant)
+    rows = [{"w": w, "z": z, "total": value} for w, z in (p.as_strings() for p in result.points)]
+    payload = {
+        "d": args.d,
+        "ab": value,
+        "invariant": invariant,
+        "specializations": rows,
+        "verified_constant": result.verified_constant,
+    }
+    lines = [f"degree {args.d}: invariant = {invariant}", f"raw two-point pairing = {value}"]
     if result.verified_constant:
-        _emit(f"constant across {len(rows)} specializations (seed {args.seed}): yes")
+        lines.append(f"constant across {len(rows)} specializations (seed {args.seed}): yes")
     else:
-        _emit(
+        lines.append(
             f"constancy not checked: {len(rows)} specialization (seed {args.seed}); "
             "use --points 2 or more"
         )
-    return 0
+    return payload, lines
 
 
-def _report_checks(
-    args: argparse.Namespace, checks: list[IdentityCheck], payload: dict, summary: str
-) -> int:
-    """Print check records as PASS/FAIL lines or as JSON; exit 1 on any failure."""
+def _check_report(checks: list[IdentityCheck], payload: dict, summary: str) -> Output:
+    """The check records in ``payload`` with ``all_passed``, and as PASS/FAIL lines."""
     failures = sum(1 for c in checks if not c.passed)
-    if args.json:
-        _emit_json(
-            {
-                **payload,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in checks
-                ],
-                "all_passed": not failures,
-            }
-        )
-        return 1 if failures else 0
-    for c in checks:
-        if c.passed:
-            _emit(f"PASS {c.name}")
-        else:
-            _emit(f"FAIL {c.name}" + (f" ({c.detail})" if c.detail else ""))
-    _emit(f"{len(checks) - failures}/{len(checks)} {summary}")
-    return 1 if failures else 0
+    payload = {
+        **payload,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "all_passed": not failures,
+    }
+    lines = [
+        f"PASS {c.name}" if c.passed
+        else f"FAIL {c.name}" + (f" ({c.detail})" if c.detail else "")
+        for c in checks
+    ]
+    lines.append(f"{len(checks) - failures}/{len(checks)} {summary}")
+    return payload, lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     checks = verify_identities(d_max=args.dmax, num_specs=args.specs, seed=args.seed)
     payload = {"dmax": args.dmax, "specializations": args.specs, "seed": args.seed}
-    return _report_checks(args, checks, payload, "identities hold")
-
-
-def _one_point_rows(dmax: int) -> list[dict]:
-    return [
-        {
-            "class": format_monomial(mono),
-            "values": [format_rational(one_point(mono, d)) for d in range(1, dmax + 1)],
-        }
-        for mono in _basis_monomials(4)
-    ]
+    return _check_report(checks, payload, "identities hold")
 
 
 def _nonzero_rows(tables: list[dict]) -> tuple[list[dict], int]:
@@ -271,82 +220,81 @@ def _nonzero_rows(tables: list[dict]) -> tuple[list[dict], int]:
     return rows, len(tables[0]) - len(keys)
 
 
-def _render_table(title: str, header: list[str], rows: list[list[str]], markdown: bool) -> None:
+def _render_table(
+    title: str, header: list[str], rows: list[list[str]], markdown: bool
+) -> list[str]:
     if markdown:
-        _emit(f"### {title}")
-        _emit("| " + " | ".join(header) + " |")
-        _emit("|" + "|".join(" --- " for _ in header) + "|")
-        for row in rows:
-            _emit("| " + " | ".join(row) + " |")
-        _emit("")
-        return
-    _emit(title)
+        return [
+            f"### {title}",
+            "| " + " | ".join(header) + " |",
+            "|" + "|".join(" --- " for _ in header) + "|",
+            *("| " + " | ".join(row) + " |" for row in rows),
+            "",
+        ]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-    _emit("  " + "  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        _emit("  " + "  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    _emit("")
+    return [
+        title,
+        "  " + "  ".join(h.ljust(w) for h, w in zip(header, widths)),
+        *("  " + "  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows),
+        "",
+    ]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    dmax = args.dmax
-    degrees = range(1, dmax + 1)
+def _cmd_table(args: argparse.Namespace) -> Output:
+    """The scaled values f(d) and the count tables that ``--kind`` names."""
+    degrees = range(1, args.dmax + 1)
     # Top degree first: its recursion pass on each curve system and point
     # then serves every lower degree.
     results = {d: two_point_pairing(d, seed=args.seed) for d in reversed(degrees)}
     f_values = [results[d].scaled for d in degrees]
-    degree_header = [f"d={d}" for d in degrees]
-    one_rows = _one_point_rows(dmax)
-    two_tables = [two_point_table(d, f_values[d - 1]) for d in degrees]
-    three_tables = [three_point_table(d, f_values[:d]) for d in degrees]
-    two_rows, two_zeros = _nonzero_rows(two_tables)
-    three_rows, three_zeros = _nonzero_rows(three_tables)
-    if args.json:
-        payload = {
-            "dmax": dmax,
-            "f": [format_rational(v) for v in f_values],
-        }
-        if args.kind in ("one", "all"):
-            payload["one_point"] = one_rows
-        if args.kind in ("two", "all"):
-            payload["two_point"] = {"nonzero": two_rows, "zero_pairs": two_zeros}
-        if args.kind in ("three", "all"):
-            payload["three_point"] = {"nonzero": three_rows, "zero_triples": three_zeros}
-        _emit_json(payload)
-        return 0
-    md = args.markdown
-    _emit(
+    header = [f"d={d}" for d in degrees]
+    kinds = ("one", "two", "three") if args.kind == "all" else (args.kind,)
+    payload = {"dmax": args.dmax, "f": [format_rational(v) for v in f_values]}
+    lines = [
         "scaled two-point values: "
-        + ", ".join(f"f({d}) = {format_rational(v)}" for d, v in enumerate(f_values, start=1))
-    )
-    _emit("")
-    if args.kind in ("one", "all"):
-        _render_table(
+        + ", ".join(f"f({d}) = {format_rational(v)}" for d, v in enumerate(f_values, start=1)),
+        "",
+    ]
+    if "one" in kinds:
+        rows = [
+            {
+                "class": format_monomial(mono),
+                "values": [format_rational(one_point(mono, d)) for d in degrees],
+            }
+            for mono in _basis_monomials(4)
+        ]
+        payload["one_point"] = rows
+        lines += _render_table(
             "one-point counts (middle-degree classes)",
-            ["class", *degree_header],
-            [[r["class"], *r["values"]] for r in one_rows],
-            md,
+            ["class", *header],
+            [[r["class"], *r["values"]] for r in rows],
+            args.markdown,
         )
-    if args.kind in ("two", "all"):
-        _render_table(
-            f"two-point counts (nonzero rows; {two_zeros} of {len(two_tables[0])} pairs vanish)",
-            ["first class", "second class", *degree_header],
-            [[r["classes"][0], r["classes"][1], *r["values"]] for r in two_rows],
-            md,
+    if "two" in kinds:
+        tables = [two_point_table(d, f_values[d - 1]) for d in degrees]
+        rows, zeros = _nonzero_rows(tables)
+        payload["two_point"] = {"nonzero": rows, "zero_pairs": zeros}
+        lines += _render_table(
+            f"two-point counts (nonzero rows; {zeros} of {len(tables[0])} pairs vanish)",
+            ["first class", "second class", *header],
+            [[*r["classes"], *r["values"]] for r in rows],
+            args.markdown,
         )
-    if args.kind in ("three", "all"):
-        _render_table(
-            f"three-point counts (nonzero rows; {three_zeros} of {len(three_tables[0])} "
-            "triples vanish)",
-            ["classes", *degree_header],
-            [[" , ".join(r["classes"]), *r["values"]] for r in three_rows],
-            md,
+    if "three" in kinds:
+        tables = [three_point_table(d, f_values[:d]) for d in degrees]
+        rows, zeros = _nonzero_rows(tables)
+        payload["three_point"] = {"nonzero": rows, "zero_triples": zeros}
+        lines += _render_table(
+            f"three-point counts (nonzero rows; {zeros} of {len(tables[0])} triples vanish)",
+            ["classes", *header],
+            [[" , ".join(r["classes"]), *r["values"]] for r in rows],
+            args.markdown,
         )
-    return 0
+    return payload, lines
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    return _report_checks(args, reproduce(args.seed), {"seed": args.seed}, "checks passed")
+def _cmd_reproduce(args: argparse.Namespace) -> Output:
+    return _check_report(reproduce(args.seed), {"seed": args.seed}, "checks passed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,13 +360,16 @@ def main(argv: list[str] | None = None) -> int:
     if "family" in args:
         args.family = _resolve_family(parser, args)
     try:
-        return args.handler(args)
+        payload, lines = args.handler(args)
+        failed = payload.get("all_passed") is False
     except ConsistencyError as exc:
-        if args.json:
-            _emit_json({"error": str(exc)})
-        else:
-            _emit(f"FAIL: {exc}")
-        return 1
+        payload, lines, failed = {"error": str(exc)}, [f"FAIL: {exc}"], True
+    if args.json:
+        text = json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(lines)
+    sys.stdout.write(text + "\n")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

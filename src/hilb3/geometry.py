@@ -31,6 +31,7 @@ __all__ = [
     "FixedPoint",
     "Curve",
     "torus_weights",
+    "pair_weights",
     "hyperplane_weight",
     "chart_weight",
     "fixed_points",
@@ -55,14 +56,27 @@ _TORUS_WEIGHTS = {i: tuple(_COORDINATES[j] - _COORDINATES[i] for c, j in CHART_P
                   for i in CHARTS}
 
 
+def _check_chart(chart: int) -> int:
+    if chart not in CHARTS:
+        raise ValueError(f"chart must be 0, 1 or 2, got {chart}")
+    return chart
+
+
 def torus_weights(chart: int) -> tuple[Weight, Weight]:
     """The weights (w_i, z_i) of chart i's coordinates x_j/x_i, the other charts j in order."""
-    return _TORUS_WEIGHTS[chart]
+    return _TORUS_WEIGHTS[_check_chart(chart)]
+
+
+def pair_weights(i: int, j: int) -> tuple[Weight, Weight, Weight, Weight]:
+    """The weights (w_i, z_i, w_j, z_j) of the two charts that a pair curve joins."""
+    if (i, j) not in CHART_PAIRS:
+        raise ValueError(f"no pair curve for charts ({i},{j})")
+    return torus_weights(i) + torus_weights(j)
 
 
 def hyperplane_weight(chart: int) -> Weight:
     """The hyperplane bundle's weight at chart i's fixed point: that of ``x_i``."""
-    return _COORDINATES[chart]
+    return _COORDINATES[_check_chart(chart)]
 
 
 def chart_weight(chart: int, a: int | Fraction, b: int | Fraction) -> Weight:
@@ -97,8 +111,7 @@ class FixedPoint:
 
     @staticmethod
     def punctual(chart: int, stratum: int) -> "FixedPoint":
-        if chart not in CHARTS:
-            raise ValueError(f"chart must be 0, 1 or 2, got {chart}")
+        _check_chart(chart)
         if stratum not in (0, 1, 2):
             raise ValueError(f"stratum must be 0, 1 or 2, got {stratum}")
         return FixedPoint("punctual", chart, stratum=stratum)

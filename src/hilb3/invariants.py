@@ -36,7 +36,7 @@ from .fock import (
     wdvv_consistency,
 )
 from .geometry import (CHART_PAIRS, CHARTS, STRATUM_PAIRS, FixedPoint, hyperplane_weight,
-                       taut_c1, torus_weights)
+                       pair_weights, taut_c1, torus_weights)
 from .graphs import pair_family, punctual_family
 from .localization import forbidden_weights, graph_sum
 from .scalars import (
@@ -170,8 +170,7 @@ def _local_values(i: int, spec: Specialization) -> tuple[Rational, Rational]:
 def pair_sum_closed(d: int, i: int, j: int, spec: Specialization) -> Rational:
     """Closed form of the residual-pair family graph sum, any degree."""
     positive_degree(d)
-    wi, zi = _local_values(i, spec)
-    wj, zj = _local_values(j, spec)
+    wi, zi, wj, zj = (evaluate_weight(t, spec) for t in pair_weights(i, j))
     return (wi + zi) / (d * wi * wj * (wi - zi) ** 2 * zi * zj)
 
 

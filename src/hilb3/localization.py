@@ -21,9 +21,9 @@ from .geometry import (
     curve_catalog,
     curves_through,
     fixed_points,
+    pair_weights,
     tangent_character,
     tangent_euler,
-    torus_weights,
 )
 from .graphs import Edge, Family, StableGraph, automorphism_order
 from .scalars import (
@@ -148,7 +148,7 @@ def edge_euler_closed(i: int, j: int, degree: int, point: Specialization) -> Rat
     """
     wi, zi, wj, zj = (
         invertible(evaluate_weight(t, point), f"weight {t}", point)
-        for t in torus_weights(i) + torus_weights(j)
+        for t in pair_weights(i, j)
     )
     invertible(wi - zi, "w_i - z_i", point)
     d = positive_degree(degree)

@@ -39,6 +39,13 @@ def test_chart_weights_satisfy_cocycle_relations():
     assert hyperplane_weight(2) == z
 
 
+@pytest.mark.parametrize("chart", [-1, 3])
+@pytest.mark.parametrize("weights", [torus_weights, hyperplane_weight])
+def test_chart_weights_refuse_a_chart_outside_the_plane(weights, chart):
+    with pytest.raises(ValueError, match=f"chart must be 0, 1 or 2, got {chart}"):
+        weights(chart)
+
+
 def test_chart_weight_is_linear_combination():
     w1, z1 = torus_weights(1)
     assert chart_weight(1, 2, -1) == w1.scaled(2) - z1

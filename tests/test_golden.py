@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hilb3 import cli
 from hilb3.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,4 +37,17 @@ def test_stdout_matches_golden(capsys, name, json_flag):
     argv = COMMANDS[name] + ([json_flag] if json_flag else [])
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}{'.json' if json_flag else ''}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("json_flag", ["", "--json"])
+def test_table_of_one_kind_builds_no_other_table(capsys, monkeypatch, json_flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table --kind two built a table it does not print")
+
+    monkeypatch.setattr(cli, "one_point", refuse)
+    monkeypatch.setattr(cli, "three_point_table", refuse)
+    argv = COMMANDS["table_two"] + ([json_flag] if json_flag else [])
+    assert main(argv) == 0
+    expected = (GOLDEN / f"table_two{'.json' if json_flag else ''}.txt").read_text()
     assert capsys.readouterr().out == expected

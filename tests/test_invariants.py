@@ -1,5 +1,6 @@
 """Two-point invariants: frozen values, sign pins and closed-form identities."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hilb3.invariants import (
     two_point_total,
     verify_identities,
 )
-from hilb3.localization import forbidden_weights
+from hilb3.localization import edge_euler_closed, forbidden_weights
 from hilb3.scalars import Specialization, evaluate_weight, sample_specializations
 
 POINT_13 = Specialization(Fraction(1), Fraction(3))
@@ -134,6 +135,24 @@ def test_pair_sum_closed_form_samples():
                 assert graph_sum(pair_family(i, j), d, point) == pair_sum_closed(
                     d, i, j, point
                 )
+
+
+@pytest.mark.parametrize(
+    "closed, args, message",
+    [
+        (pair_sum_closed, (1, 0, 0), "no pair curve for charts (0,0)"),
+        (pair_sum_closed, (1, 2, 2), "no pair curve for charts (2,2)"),
+        (pair_sum_closed, (1, 0, 3), "no pair curve for charts (0,3)"),
+        (edge_euler_closed, (1, 1, 2), "no pair curve for charts (1,1)"),
+        (family_term_closed, (1, 3), "chart must be 0, 1 or 2, got 3"),
+    ],
+    ids=["pair-0-0", "pair-2-2", "pair-0-3", "edge-1-1", "family-3"],
+)
+def test_closed_forms_refuse_charts_that_name_no_family(closed, args, message):
+    # Each returned a number for a family that does not exist, or raised a
+    # bare KeyError, before the charts were checked.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        closed(*args, POINT_13)
 
 
 def test_identity_suite_all_pass():
