@@ -78,12 +78,14 @@ class Family:
         return hash((self.name, self.mark_labels))
 
 
+@lru_cache(maxsize=None)
 def pair_family(i: int, j: int) -> Family:
     """Graphs covering the single pair-type curve over charts (i, j), named after it."""
     curve = pair_curve(i, j)
     return Family(curve.name, (curve,), tuple(sorted(curve.endpoints)))
 
 
+@lru_cache(maxsize=None)
 def punctual_family(i: int, j: int, k: int) -> Family:
     """Graphs in the punctual triangle of chart ``i`` with marks on strata j, k,
     named after the curve joining the marks."""

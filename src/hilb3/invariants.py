@@ -37,8 +37,8 @@ from .fock import (
 )
 from .geometry import (CHART_PAIRS, CHARTS, STRATUM_PAIRS, FixedPoint, hyperplane_weight,
                        pair_weights, taut_c1, torus_weights)
-from .graphs import pair_family, punctual_family
-from .localization import forbidden_weights, graph_sum
+from .graphs import Family, pair_family, punctual_family
+from .localization import _PASS_BATCH_SIZE, fill_passes, forbidden_weights, graph_sum
 from .scalars import (
     Rational,
     Specialization,
@@ -85,24 +85,56 @@ def punctual_mark_factor(i: int, j: int, k: int, spec: Specialization) -> Ration
     return _mark_factor(FixedPoint.punctual(i, j), FixedPoint.punctual(i, k), spec)
 
 
-def punctual_family_term(d: int, i: int, spec: Specialization) -> Rational:
-    """Weighted graph sums of the three punctual families supported in chart i."""
-    total = Fraction(0)
+def _punctual_terms(i: int, spec: Specialization) -> list[tuple[Rational, Family]]:
+    """The (mark factor, family) terms of the punctual families of chart
+    ``i``; a family whose mark factor vanishes is left out, so its graph sum
+    is never read."""
+    terms = []
     for j, k in STRATUM_PAIRS:
         factor = punctual_mark_factor(i, j, k, spec)
         if factor != 0:
-            total += factor * graph_sum(punctual_family(i, j, k), d, spec)
-    return total
+            terms.append((factor, punctual_family(i, j, k)))
+    return terms
+
+
+def _two_point_terms(spec: Specialization) -> list[tuple[Rational, Family]]:
+    """The (mark factor, family) terms that :func:`two_point_total` sums.
+
+    :func:`two_point_pairing` runs the passes of exactly these families, so
+    the chart-0 triangle, whose mark factors vanish, runs none.
+    """
+    families = [pair_family(i, j) for i, j in CHART_PAIRS]
+    terms = [(_mark_factor(*family.mark_labels, spec), family) for family in families]
+    for i in CHARTS:
+        terms += _punctual_terms(i, spec)
+    return terms
+
+
+def _weighted_sum(terms: list[tuple[Rational, Family]], d: int, spec: Specialization) -> Rational:
+    return sum((factor * graph_sum(family, d, spec) for factor, family in terms), Fraction(0))
+
+
+def punctual_family_term(d: int, i: int, spec: Specialization) -> Rational:
+    """Weighted graph sums of the three punctual families supported in chart i."""
+    return _weighted_sum(_punctual_terms(i, spec), d, spec)
 
 
 def two_point_total(d: int, spec: Specialization) -> Rational:
     """The full localized two-point sum at one specialization."""
-    total = Fraction(0)
-    for i, j in CHART_PAIRS:
-        total += pair_family_term(d, i, j, spec)
-    for i in CHARTS:
-        total += punctual_family_term(d, i, spec)
-    return total
+    return _weighted_sum(_two_point_terms(spec), d, spec)
+
+
+def _draw(count: int, d: int, seed: int) -> list[Specialization]:
+    """``count`` points off every wall of the degree-``d`` sums."""
+    return sample_specializations(count, seed=seed, forbidden=forbidden_weights(d))
+
+
+def _every_system(points: list[Specialization]) -> list[tuple]:
+    """The (curve system, point) keys of all nine systems at ``points``:
+    the six pair curves and the three punctual triangles."""
+    families = [pair_family(i, j) for i, j in CHART_PAIRS]
+    families += [punctual_family(i, *STRATUM_PAIRS[0]) for i in CHARTS]
+    return [(family.curves, point) for point in points for family in families]
 
 
 @dataclass(frozen=True)
@@ -144,7 +176,8 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
     positive_degree(d)
     if num_points < 1:
         raise ValueError("need at least one specialization")
-    points = sample_specializations(num_points, seed=seed, forbidden=forbidden_weights(d))
+    points = _draw(num_points, d, seed)
+    fill_passes([(f.curves, point) for point in points for _, f in _two_point_terms(point)], d)
     totals = [two_point_total(d, point) for point in points]
     if any(total != totals[0] for total in totals):
         values = "; ".join(
@@ -323,10 +356,10 @@ def verify_identities(
         raise ValueError(f"closed forms cover degrees 1 through {RECORDED_TOP_DEGREE} only")
     if num_specs < 1:
         raise ValueError("need at least one specialization")
-    points = sample_specializations(num_specs, seed=seed, forbidden=forbidden_weights(d_max))
+    points = _draw(num_specs, d_max, seed)
     marks = tuple((i, j, k) for i in CHARTS for j, k in STRATUM_PAIRS)
     # Each record's name, the leading arguments of both sides and the rest of
-    # its row, with the degrees ascending.
+    # its row.
     records = [("mark factors match their displays", (), marks, "i={} strata=({},{})",
                 punctual_mark_factor, _mark_factor_closed)]
     records += [
@@ -335,21 +368,23 @@ def verify_identities(
         for name, first, indices, context, engine, closed in _IDENTITIES
         if d >= first
     ]
-    # Each point is walked from degree d_max down (the mark factors, which
-    # need no graph sum, last): that point's recursion pass on each curve
-    # system then serves every lower degree while it is the most recently
-    # used.  A record keeps its first mismatch, points outermost.
-    walk = sorted(records, key=lambda record: record[1], reverse=True)
+    # The points are read one batch at a time: the batch's degree-d_max pass
+    # on each curve system serves every degree, and the pass cache needs
+    # room for one batch only.  A record keeps its first mismatch, points
+    # outermost.
     failures: dict[str, str] = {}
-    for pt in points:
-        for name, head, indices, context, engine, closed in walk:
-            for index in indices:
-                if name in failures:
-                    break
-                lhs, rhs = engine(*head, *index, pt), closed(*head, *index, pt)
-                if lhs != rhs:
-                    where = f"{context.format(*index)} at w={pt.w}, z={pt.z}"
-                    failures[name] = f"{where}: {lhs} != {rhs}"
+    for start in range(0, len(points), _PASS_BATCH_SIZE):
+        batch = points[start:start + _PASS_BATCH_SIZE]
+        fill_passes(_every_system(batch), d_max)
+        for pt in batch:
+            for name, head, indices, context, engine, closed in records:
+                for index in indices:
+                    if name in failures:
+                        break
+                    lhs, rhs = engine(*head, *index, pt), closed(*head, *index, pt)
+                    if lhs != rhs:
+                        where = f"{context.format(*index)} at w={pt.w}, z={pt.z}"
+                        failures[name] = f"{where}: {lhs} != {rhs}"
     return [IdentityCheck(name, name not in failures, failures.get(name, ""))
             for name, *_ in records]
 
@@ -360,6 +395,10 @@ _FROZEN_INVARIANTS = {
     3: Fraction(18),
     4: Fraction(27, 4),
 }
+
+
+# The points at which reproduce checks the closed forms.
+_REPRODUCE_SPECS = 5
 
 
 def reproduce(seed: int = 0) -> list[IdentityCheck]:
@@ -375,8 +414,12 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(IdentityCheck(name, passed, detail))
 
-    # Degree 4 first: its recursion pass on each curve system and point
-    # then serves every lower degree.
+    # One degree-4 pass per curve system over verify's points, the first
+    # three of which are the pairings', serves every check below.
+    fill_passes(_every_system(_draw(_REPRODUCE_SPECS, RECORDED_TOP_DEGREE, seed)),
+                RECORDED_TOP_DEGREE)
+    # Top degree first, so a point that a lower degree shares with a higher
+    # one reuses its pass.
     outcomes: dict[int, InvariantResult | ConsistencyError] = {}
     for d in sorted(_FROZEN_INVARIANTS, reverse=True):
         try:
@@ -401,7 +444,7 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
             f"got {format_rational(result.value)}",
         )
 
-    checks.extend(verify_identities(num_specs=5, seed=seed))
+    checks.extend(verify_identities(num_specs=_REPRODUCE_SPECS, seed=seed))
 
     datum = monomial((2, LINE), (1, POINT))
     partner = monomial((2, LINE), (1, SURFACE))

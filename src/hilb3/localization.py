@@ -40,16 +40,22 @@ from .scalars import (
 )
 
 # Bounds of the caches keyed by a Specialization.  ``hilb3 verify --dmax 4
-# --specs 20`` fills 1200 graph sums, 180 passes and 1020 edge factors; each
-# bound leaves room for several such runs in one process.
+# --specs 20`` fills 1200 graph sums, 180 stored passes (one per curve
+# system and point, run as 9 batches of 20 points) and 1020 edge factors;
+# each bound leaves room for several such runs in one process.
 _GRAPH_SUM_CACHE_SIZE = 8192
 _PASS_CACHE_SIZE = 2048
+# The most points one recursion pass runs over.  A batch shares the pass's
+# point-free work; at d = 4 and 8 the gain levels off between 16 and 32
+# points.  It also bounds the batch's memory, about 1.6 MiB per point for a
+# d = 20 punctual pass, and one batch on each of the nine curve systems fits
+# in the pass cache.
+_PASS_BATCH_SIZE = 32
 _EDGE_EULER_CACHE_SIZE = 8192
 
-# A value inside a recursion pass: a reduced pair (num, den) with den > 0.
-# Zero is the int 0, so a zero value is falsy.
+# One point's value inside a recursion pass: a reduced pair (num, den) with
+# den > 0.  Zero is the int 0, so a zero value is falsy.
 Pair = tuple[int, int]
-_ONE: Pair = (1, 1)
 
 
 @lru_cache(maxsize=None)
@@ -204,26 +210,29 @@ def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
 
 @dataclass(slots=True)
 class _Flag:
-    """One end of a degree-``degree`` cover of a family curve, at one point.
+    """One end of a degree-``degree`` cover of a family curve.
 
     Flags are numbered; ``far`` is the number of the flag at the other end
-    of the same edge.  ``weight`` is the flag weight omega, ``series`` the
-    coefficients ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)``, ``edge``
+    of the same edge, ``cost`` its beta-weighted degree and ``width`` the
+    number of flags at the same label, cheapest first, that fit with this
+    one in the pass's degree.  These do not depend on the point.  A pass
+    over a batch of points sets the rest, each a tuple with one
+    :data:`Pair` per point: ``weight`` is the flag weight omega, ``edge``
     the edge's share ``E/(degree * edge_euler)`` of the graph weight, with
-    the label's tangent Euler factor ``E``, and ``cost`` its beta-weighted
-    degree.  ``nodes`` are the factors ``1/(omega + omega_f)`` for the flags
-    ``f`` at the same label, cheapest first, that fit with this one in the
-    pass's degree.  :func:`_flags` inverts all these forms.  Every value is
-    a :data:`Pair`.
+    the label's tangent Euler factor ``E``, ``series[s]`` the coefficient
+    ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)``, and ``nodes[m]``
+    the factor ``1/(omega + omega_f)`` for the ``m``-th flag ``f`` at the
+    label.
     """
 
     index: int
     far: int
     cost: int
-    weight: Pair
-    edge: Pair
-    series: tuple[Pair, ...]
-    nodes: tuple[Pair, ...] = ()
+    width: int = 0
+    weight: tuple = ()
+    edge: tuple = ()
+    series: list = field(default_factory=list)
+    nodes: tuple = ()
 
 
 def _reduced(num: int, den: int) -> Pair:
@@ -232,23 +241,41 @@ def _reduced(num: int, den: int) -> Pair:
     return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
-def _flags(
-    curves: tuple[Curve, ...], top: int, point: Specialization
-) -> tuple[dict[FixedPoint, list[_Flag]], dict[FixedPoint, Pair]]:
+def _layout(curves: tuple[Curve, ...], top: int) -> dict[FixedPoint, list[_Flag]]:
     """The flags of every cover that fits in degree ``top``, grouped by label
-    and cheapest first, and each label's tangent Euler factor ``E``, all as
-    reduced pairs.
-
-    These are all the values of a pass that depend on the point, so a pass
-    raises here or nowhere.
-    """
-    labels = {label for curve in curves if curve.beta <= top for label in curve.endpoints}
-    euler = {}
-    for label in labels:
-        value = tangent_euler(label, point)
-        euler[label] = (value.numerator, value.denominator)
+    and cheapest first, without their values."""
     flags: dict[FixedPoint, list[_Flag]] = {}
     count = 0
+    for curve in curves:
+        for degree in range(1, top // curve.beta + 1):
+            for end, label in enumerate(curve.endpoints):
+                flags.setdefault(label, []).append(
+                    _Flag(count + end, count + 1 - end, curve.beta * degree)
+                )
+            count += 2
+    for here in flags.values():
+        here.sort(key=lambda f: f.cost)
+        for p in here:
+            p.width = sum(p.cost + f.cost <= top for f in here)
+    return flags
+
+
+def _point_values(
+    curves: tuple[Curve, ...], top: int, flags: dict[FixedPoint, list[_Flag]],
+    point: Specialization,
+) -> tuple[dict[FixedPoint, Pair], list[list]]:
+    """Every value of a pass that depends on the point, as reduced pairs:
+    each label's tangent Euler factor ``E``, and each flag's ``[weight,
+    edge, series, nodes]`` by its number (see :class:`_Flag`).
+
+    These invert every form a pass inverts, so a pass at ``point`` raises
+    here or nowhere.
+    """
+    euler = {}
+    for label in flags:
+        value = tangent_euler(label, point)
+        euler[label] = (value.numerator, value.denominator)
+    values: list[list] = []
     for curve in curves:
         for degree in range(1, top // curve.beta + 1):
             factor = edge_euler(curve, degree, point)
@@ -261,7 +288,7 @@ def _flags(
                         curve.endpoints, (_parts(t, point) for t in curve.tangents)
                     )
                 ]
-            for end, (label, num, den) in enumerate(ends):
+            for label, num, den in ends:
                 # omega = num/(den*degree) = wn/wd.  Its inverse a/b is
                 # reduced, so omega^-(s+1)/s! = a^(s+1)/(b^(s+1) s!) needs a
                 # gcd with s! only, and the powers are kept running.
@@ -275,19 +302,18 @@ def _flags(
                     power_a *= a
                     power_b *= b
                 e_num, e_den = euler[label]
-                flags.setdefault(label, []).append(_Flag(
-                    count + end, count + 1 - end, curve.beta * degree, (wn, wd),
+                values.append([
+                    (wn, wd),
                     _reduced(e_num * factor.denominator, e_den * degree * factor.numerator),
-                    tuple(series),
-                ))
-            count += 2
+                    series,
+                ])
     for here in flags.values():
-        here.sort(key=lambda f: f.cost)
         for p in here:
-            p.nodes = tuple(
-                _node(p.weight, f.weight, point) for f in here if p.cost + f.cost <= top
+            omega = values[p.index][0]
+            values[p.index].append(
+                [_node(omega, values[f.index][0], point) for f in here[:p.width]]
             )
-    return flags, euler
+    return euler, values
 
 
 def _node(omega: Pair, other: Pair, point: Specialization) -> Pair:
@@ -297,18 +323,24 @@ def _node(omega: Pair, other: Pair, point: Specialization) -> Pair:
     return _reduced(omega[1] * other[1], num)
 
 
-def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> Pair | int:
-    """The exact sum of ``k * x * y / divisor`` over the pairs ``(x, y)`` of
-    every group ``(k, pairs)``, ``k`` an int and each operand a :data:`Pair`
-    or the int ``0``; the sum as a :data:`Pair`, or the int ``0`` when it
-    vanishes.
+def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> tuple | int:
+    """The exact sum of ``k * x * y / divisor`` at each point of a batch,
+    over the pairs ``(x, y)`` of every group ``(k, pairs)``, ``k`` an int.
 
-    The sum is formed over an lcm denominator, at most one gcd per term, and
-    reduced once.  This is the pass's only multiply-accumulate.
+    Each operand, and the sum, is a tuple with one :data:`Pair` or int 0
+    per point, or the int ``0`` when it vanishes at every point.  The term
+    list is built once; at each point its sum is formed over an lcm
+    denominator, at most one gcd per term, and reduced once.  This is the
+    pass's only multiply-accumulate.
     """
-    num, den = 0, 1
-    for k, pairs in groups:
-        for x, y in pairs:
+    terms = [(k, xs, ys) for k, pairs in groups for xs, ys in pairs if xs and ys]
+    if not terms:
+        return 0
+    sums = []
+    for i in range(len(terms[0][1])):
+        num, den = 0, 1
+        for k, xs, ys in terms:
+            x, y = xs[i], ys[i]
             if x and y:
                 d = x[1] * y[1]
                 if d == den:
@@ -317,18 +349,27 @@ def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> Pai
                     g = math.gcd(den, d)
                     num = num * (d // g) + k * x[0] * y[0] * (den // g)
                     den *= d // g
-    if not num:
-        return 0
-    den *= divisor
-    g = math.gcd(num, den)
-    return num // g, den // g
+        if num:
+            den *= divisor
+            g = math.gcd(num, den)
+            sums.append((num // g, den // g))
+        else:
+            sums.append(0)
+    return tuple(sums) if any(sums) else 0
 
 
-def _times(x: Pair, y: Pair) -> Pair:
-    """The :data:`Pair` of ``x * y``: each numerator is reduced against the
-    other's denominator, as both pairs are already reduced."""
-    g, h = math.gcd(x[0], y[1]), math.gcd(y[0], x[1])
-    return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
+def _times(xs: tuple, ys: tuple) -> tuple:
+    """The :data:`Pair` of ``x * y`` at each point, and 0 where ``y`` is 0;
+    each numerator is reduced against the other's denominator, as both pairs
+    are already reduced, and no ``x`` is 0."""
+    out = []
+    for x, y in zip(xs, ys):
+        if y:
+            g, h = math.gcd(x[0], y[1]), math.gcd(y[0], x[1])
+            out.append(((x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)))
+        else:
+            out.append(0)
+    return tuple(out)
 
 
 def _coefficient(k: int, left: list, right: list, m: int) -> tuple[int, Iterable]:
@@ -358,18 +399,41 @@ def _child_row(kids: list[_Flag], values: list, length: int) -> list:
 
 
 def _recursion_pass(
-    curves: tuple[Curve, ...], top: int, point: Specialization
-) -> dict[tuple[FixedPoint, FixedPoint], tuple[Rational, ...]]:
-    """The graph sums of a curve system for every mark placement and degree.
+    curves: tuple[Curve, ...], top: int, points: Sequence[Specialization]
+) -> dict[Specialization, dict | DegenerateSpecializationError]:
+    """The graph sums of a curve system for every mark placement and degree,
+    at each point of a batch.
 
     A placement is a pair ``first < second`` of the system's labels; the
     value at a placement is the tuple of its graph sums in degrees
     ``1..top``.  The series run in channels: channel 0 holds the subtrees
     without the second mark, and channel ``c >= 1`` those holding it on
     label ``marks[c]``, one channel per label that is a second mark.  Every
-    step serves all channels; see :func:`graph_sum` for the recursion.
+    step serves all channels and all points: the flags, rows and term lists
+    are built once, and every value is a tuple with one entry per point.
+    See :func:`graph_sum` for the recursion.
+
+    Each point maps to its placements' graph sums, or to the
+    :class:`DegenerateSpecializationError` it raised in
+    :func:`_point_values`; such a point drops out and the others still run.
     """
-    flags, euler = _flags(curves, top, point)
+    flags = _layout(curves, top)
+    results: dict = {}
+    live, per_point = [], []
+    for point in points:
+        try:
+            per_point.append(_point_values(curves, top, flags, point))
+        except DegenerateSpecializationError as error:
+            results[point] = error
+        else:
+            live.append(point)
+    if not live:
+        return results
+    for here in flags.values():
+        for f in here:
+            f.weight, f.edge, series, nodes = zip(*(flag[f.index] for _, flag in per_point))
+            f.series, f.nodes = list(zip(*series)), tuple(zip(*nodes))
+    ones = ((1, 1),) * len(live)
     labels = sorted(flags)
     placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
     marks = [None] + sorted({b for _, b in placements})
@@ -377,14 +441,14 @@ def _recursion_pass(
     # Subtree sums by channel and order, indexed by the number of the flag
     # at their root on the edge to their parent.  At order 0 a subtree is a
     # leaf: one without the second mark gives omega, one that holds it 1.
-    # Every value is a Pair or the int 0.
+    # Every value is a tuple over the points, or the int 0.
     count = sum(len(here) for here in flags.values())
     sums = [[[0] * (top + 1) for _ in range(count)] for _ in marks]
     for label, here in flags.items():
         for f in here:
             sums[0][f.index][0] = f.weight
             if label in marks:
-                sums[marks.index(label)][f.index][0] = _ONE
+                sums[marks.index(label)][f.index][0] = ones
     # A root reads its rows up to order ``top``; any other vertex hangs from
     # a parent flag, which costs at least the cheapest flag at its label.
     tops = {
@@ -416,7 +480,7 @@ def _recursion_pass(
             x = row[0]
             log.append(_product_row(
                 [(k, log[k], x[order - k], order - k - 1) for k in range(1, order)]
-                + [(order, [_ONE], x[order], order - 1)],
+                + [(order, [ones], x[order], order - 1)],
                 tops[label], order,
             ))
             # Below t-degree -1, sum_k Lambda_k Y_(c,N-k) in every channel.
@@ -425,7 +489,7 @@ def _recursion_pass(
             below = [
                 _product_row(
                     [(1, log[k], y[order - k], order - k - 1) for k in range(1, order)]
-                    + ([(-1, log[order], [_ONE], 0)] if c == 0 else []),
+                    + ([(-1, log[order], [ones], 0)] if c == 0 else []),
                     order - 1,
                 )
                 for c, y in enumerate(row)
@@ -433,7 +497,7 @@ def _recursion_pass(
             for c, mark in enumerate(marks[1:], 1):
                 if (label, mark) in roots:
                     ends = values[c] + below[c][-1:]
-                    roots[label, mark][order] = _dot([(1, [(v, _ONE) for v in ends])])
+                    roots[label, mark][order] = _dot([(1, [(v, ones) for v in ends])])
             for parent in here:
                 if order + parent.cost > top:
                     break
@@ -444,14 +508,17 @@ def _recursion_pass(
                     if label == mark:
                         groups.append(_coefficient(1, log[order], parent.series, order - 1))
                     sums[c][parent.index][order] = _dot(groups)
-    # One Fraction per placement and degree: the root's value over its E.
-    return {
-        (first, second): tuple(
-            Fraction(v[0] * euler[first][1], v[1] * euler[first][0]) if v else Fraction(0)
-            for v in roots[first, second][1:]
-        )
-        for first, second in placements
-    }
+    # One Fraction per point, placement and degree: the root's value over its E.
+    for n, (point, (euler, _)) in enumerate(zip(live, per_point)):
+        results[point] = {
+            (first, second): tuple(
+                Fraction(v[n][0] * euler[first][1], v[n][1] * euler[first][0])
+                if v and v[n] else Fraction(0)
+                for v in roots[first, second][1:]
+            )
+            for first, second in placements
+        }
+    return results
 
 
 @dataclass
@@ -464,8 +531,37 @@ class _Pass:
 
 @lru_cache(maxsize=_PASS_CACHE_SIZE)
 def _stored_pass(curves: tuple[Curve, ...], point: Specialization) -> _Pass:
-    """The one mutable record per (curve system, point) that :func:`graph_sum` fills."""
+    """The one mutable record per (curve system, point) that :func:`fill_passes` fills."""
     return _Pass()
+
+
+def fill_passes(
+    keys: Iterable[tuple[tuple[Curve, ...], Specialization]], top: int
+) -> list[DegenerateSpecializationError]:
+    """Store a degree-``top`` pass for each (curve system, point) of ``keys``
+    whose stored pass has a lower degree.
+
+    Each system runs one :func:`_recursion_pass` per batch of at most
+    ``_PASS_BATCH_SIZE`` of its points.  A point at which a form the pass
+    inverts vanishes drops out of its batch and is not stored: its error is
+    returned, and :func:`graph_sum` raises it when the point is read.
+    """
+    batches: dict[tuple[Curve, ...], dict[Specialization, None]] = {}
+    for curves, point in keys:
+        if _stored_pass(curves, point).top < top:
+            batches.setdefault(curves, {})[point] = None
+    errors = []
+    for curves, points in batches.items():
+        points = list(points)
+        for start in range(0, len(points), _PASS_BATCH_SIZE):
+            batch = points[start:start + _PASS_BATCH_SIZE]
+            for point, totals in _recursion_pass(curves, top, batch).items():
+                if isinstance(totals, DegenerateSpecializationError):
+                    errors.append(totals)
+                else:
+                    stored = _stored_pass(curves, point)
+                    stored.totals, stored.top = totals, top
+    return errors
 
 
 @lru_cache(maxsize=_GRAPH_SUM_CACHE_SIZE, typed=True)
@@ -502,35 +598,40 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     extraction at an order up to the pass's degree.  The only forms inverted
     are flag weights, node smoothings, edge Euler factors and the root's
     tangent Euler factor ``E``, all in :func:`forbidden_weights`.
-    :func:`_flags` inverts all of them before the order loop, which does
-    series arithmetic only; each of them, and every tangent weight, goes
-    through :func:`~hilb3.scalars.invertible` and raises
+    :func:`_point_values` inverts all of them before the order loop, which
+    does series arithmetic only; each of them, and every tangent weight,
+    goes through :func:`~hilb3.scalars.invertible` and raises
     :class:`DegenerateSpecializationError` when it vanishes.
 
-    Inside a pass every value is an exact reduced integer :data:`Pair` or
-    the int 0, not a ``Fraction``.  The pass does arithmetic in four places
-    only: the sums of products of :func:`_dot`, the child values of
-    :func:`_times`, the leaf seeds, and one ``Fraction`` per placement and
-    degree, the root's value over its ``E``, which is what this returns.
-    :func:`graph_contribution` over :func:`~hilb3.graphs.enumerate_graphs`
-    gives the same value one graph at a time.
+    A pass runs over a batch of points.  Its flags, rows and term lists do
+    not depend on the point and are built once; each value is a tuple with
+    one exact reduced integer :data:`Pair` or int 0 per point, or the int 0
+    where it vanishes at every point, never a ``Fraction``.  The pass does
+    arithmetic in four places only: the per-point sums of products of
+    :func:`_dot`, the child values of :func:`_times`, the leaf seeds, and
+    one ``Fraction`` per point, placement and degree, the root's value over
+    its ``E``.  :func:`graph_contribution` over
+    :func:`~hilb3.graphs.enumerate_graphs` gives the same value one graph at
+    a time.
 
-    One pass of the recursion serves every family on the same curves at the
-    same point, and every degree up to the pass's own.  Channel 0 does not
-    depend on the marks, and a channel ``c >= 1`` only on the second mark's
-    label, so a punctual triangle needs two marked channels for its three
-    placements.  The forms a pass inverts depend only on the curves and its
-    degree, and a pass of degree ``D`` inverts all those of a pass of degree
-    ``d <= D``.  So the highest pass that succeeded at a
-    point is kept and read for every degree up to it; a higher degree runs
-    a new pass, and a pass that raises is not kept.
+    One pass of the recursion serves every family on the same curves at
+    each point of its batch, and every degree up to the pass's own.
+    Channel 0 does not depend on the marks, and a channel ``c >= 1`` only on
+    the second mark's label, so a punctual triangle needs two marked
+    channels for its three placements.  The forms a pass inverts depend only
+    on the curves and its degree, and a pass of degree ``D`` inverts all
+    those of a pass of degree ``d <= D``.  So the highest pass that
+    succeeded at a point is kept and read for every degree up to it.
+    :func:`fill_passes` runs the passes that callers of many points are
+    about to read, in batches; on a miss this runs a new pass, a batch of
+    one point, and raises if that point does not survive it.  A point that
+    raises is not kept.
     """
     positive_degree(d)
-    stored = _stored_pass(family.curves, point)
-    if stored.top < d:
-        stored.totals, stored.top = _recursion_pass(family.curves, d, point), d
+    if errors := fill_passes([(family.curves, point)], d):
+        raise errors[0]
     # Swapping the marks maps the graphs one to one and keeps each weight.
-    return stored.totals[tuple(sorted(family.mark_labels))][d - 1]
+    return _stored_pass(family.curves, point).totals[tuple(sorted(family.mark_labels))][d - 1]
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -1,8 +1,9 @@
 """Exact rational scalars, torus weights and specialization sampling.
 
 Every rational value in this package is a ``fractions.Fraction``, except
-inside a recursion pass of :mod:`hilb3.localization`, which holds each as a
-reduced integer pair ``(num, den)``; no floats appear anywhere.  A weight is
+inside a recursion pass of :mod:`hilb3.localization`, which runs over a
+batch of points and holds each value, at each point, as a reduced integer
+pair ``(num, den)``; no floats appear anywhere.  A weight is
 an integer (or rational) linear form ``a*w + b*z`` in the two generators of
 the torus character lattice, and the specialization it is evaluated at fixes
 the number type.  Identities between rational functions are never

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hilb3.geometry import fixed_points, taut_c1
+from hilb3 import invariants
 from hilb3.invariants import (
+    ConsistencyError,
     _mark_factor,
     family_term_closed,
     pair_family_term,
@@ -99,6 +101,30 @@ def test_one_point_is_not_a_constancy_check():
     assert single.value == Fraction(81, 2)
     assert len(single.points) == 1
     assert not single.verified_constant
+
+
+def test_a_third_point_that_disagrees_is_named(monkeypatch):
+    evaluated = []
+
+    def third_differs(d, point):
+        evaluated.append(point)
+        return Fraction(7 if len(evaluated) == 3 else 5)
+
+    monkeypatch.setattr(invariants, "two_point_total", third_differs)
+    with pytest.raises(ConsistencyError) as raised:
+        two_point_pairing(1, num_points=3, seed=4)
+    assert len(evaluated) == 3
+    third = evaluated[2]
+    assert f"; 7 at w={third.w}, z={third.z}" in str(raised.value)
+
+
+def test_degree_18_is_constant_at_two_points():
+    # Observed with this engine, not a value from the paper: it fits
+    # f(d) = 27 * (-1)^d * (1 - 3*[3 | d]).  A wrong series or log weight at
+    # high t-degree or order makes the two points disagree or moves it.
+    result = two_point_pairing(18, num_points=2, seed=0)
+    assert result.verified_constant
+    assert result.scaled == -54
 
 
 def test_two_points_are_a_constancy_check():

@@ -542,18 +542,25 @@ def _fraction_dot(groups, divisor=1):
     return total / divisor
 
 
-def _pairs(groups):
-    """The groups with each operand as the pass holds it: a reduced pair
-    ``(num, den)`` with ``den > 0``, or the int 0."""
+def _column(values):
+    """An operand's values at the points of a batch as the pass holds them: a
+    tuple of reduced pairs ``(num, den)`` with ``den > 0`` and ints 0, or
+    the int 0 when every value is zero."""
     def pair(x):
         x = Fraction(x)
         return (x.numerator, x.denominator) if x else 0
-    return [(k, [(pair(x), pair(y)) for x, y in pairs]) for k, pairs in groups]
+    return tuple(map(pair, values)) if any(values) else 0
+
+
+def _pairs(groups):
+    """The groups with each operand as a one-point pass holds it."""
+    return [(k, [(_column([x]), _column([y])) for x, y in pairs]) for k, pairs in groups]
 
 
 def _as_fraction(value):
-    """A nonzero :func:`_dot` result, which must be a reduced pair, as a Fraction."""
-    num, den = value
+    """A nonzero one-point :func:`_dot` result, which must be a reduced pair,
+    as a Fraction."""
+    ((num, den),) = value
     assert den > 0 and gcd(num, den) == 1, value
     return Fraction(num, den)
 
@@ -604,7 +611,7 @@ def test_dot_gives_a_falsy_zero_when_the_terms_cancel(pairs):
 
 def test_dot_weights_can_cancel_equal_terms():
     # k/N-weighted terms that cancel only through their weights.
-    pairs = [((1, 6), (5, 7))]
+    pairs = [(((1, 6),), ((5, 7),))]
     assert _dot([(2, pairs), (1, pairs + pairs), (-4, pairs)], 3) == 0
 
 
@@ -631,13 +638,36 @@ def test_dot_is_fraction_arithmetic(groups, divisor):
         assert value == 0
 
 
+@given(st.integers(1, 4), st.data())
+def test_dot_over_a_batch_is_the_dot_at_each_point(count, data):
+    column = st.lists(operands, min_size=count, max_size=count)
+    groups = data.draw(st.lists(
+        st.tuples(st.integers(-12, 12), st.lists(st.tuples(column, column), max_size=6)),
+        max_size=4,
+    ))
+    divisor = data.draw(st.integers(1, 12))
+    value = _dot(
+        [(k, [(_column(xs), _column(ys)) for xs, ys in pairs]) for k, pairs in groups], divisor
+    )
+    expected = [
+        _fraction_dot([(k, [(xs[n], ys[n]) for xs, ys in pairs]) for k, pairs in groups], divisor)
+        for n in range(count)
+    ]
+    if any(expected):
+        assert len(value) == count
+        for sum_, fraction in zip(value, expected):
+            assert (_as_fraction((sum_,)) if sum_ else 0) == fraction
+    else:
+        assert value == 0 and type(value) is int
+
+
 def test_a_pass_builds_one_fraction_per_placement_and_degree(monkeypatch):
     # Inside a pass every value is a reduced integer pair; the one Fraction
-    # per placement and degree is the graph sum it returns.  The edge Euler
-    # factors are cached Fractions, so they are warmed by a first pass.
-    (point,) = sample_specializations(1, seed=13, forbidden=forbidden_weights(6))
+    # per point, placement and degree is the graph sum it returns.  The edge
+    # Euler factors are cached Fractions, so they are warmed by a first pass.
+    points = sample_specializations(3, seed=13, forbidden=forbidden_weights(6))
     systems = sorted({family.curves for family in FAMILIES}, key=repr)
-    expected = {curves: localization._recursion_pass(curves, 6, point) for curves in systems}
+    expected = {curves: localization._recursion_pass(curves, 6, points) for curves in systems}
     built = []
 
     class Counted(Fraction):
@@ -648,10 +678,25 @@ def test_a_pass_builds_one_fraction_per_placement_and_degree(monkeypatch):
     monkeypatch.setattr(localization, "Fraction", Counted)
     for curves in systems:
         built.clear()
-        totals = localization._recursion_pass(curves, 6, point)
+        totals = localization._recursion_pass(curves, 6, points)
         assert totals == expected[curves]
-        assert len(built) == 6 * len(totals), [c.name for c in curves]
-        assert all(type(value) is Counted for sums in totals.values() for value in sums)
+        placements = len(totals[points[0]])
+        assert len(built) == 6 * placements * len(points), [c.name for c in curves]
+        assert all(
+            type(value) is Counted
+            for point in points for sums in totals[point].values() for value in sums
+        )
+
+
+def test_a_batch_equals_passes_of_one_point():
+    points = sample_specializations(3, seed=31, forbidden=forbidden_weights(8))
+    systems = {family.curves for family in FAMILIES}
+    assert len(systems) == 9
+    for curves in systems:
+        batch = localization._recursion_pass(curves, 8, points)
+        assert batch == {
+            point: localization._recursion_pass(curves, 8, [point])[point] for point in points
+        }, [c.name for c in curves]
 
 
 def test_failed_pass_is_not_stored():
@@ -669,25 +714,49 @@ def test_failed_pass_is_not_stored():
     assert _stored_pass(family.curves, wall).top == 2
 
 
+def test_a_wall_point_drops_out_of_its_batch():
+    # The degree-3 pass on pair(1,0) inverts 6w - z, which vanishes at
+    # (w, z) = (-1, -6); the other points of its batch are still stored.
+    _clear_sums()
+    wall = Specialization(Fraction(-1), Fraction(-6))
+    first, second = sample_specializations(2, seed=17, forbidden=forbidden_weights(3))
+    family = pair_family(1, 0)
+    errors = localization.fill_passes(
+        [(family.curves, point) for point in (first, wall, second)], 3
+    )
+    assert len(errors) == 1 and str(errors[0]).endswith("vanishes at w=-1, z=-6"), errors
+    assert [_stored_pass(family.curves, p).top for p in (first, wall, second)] == [3, 0, 3]
+    with pytest.raises(DegenerateSpecializationError, match=re.escape(str(errors[0]))):
+        graph_sum(family, 3, wall)
+    for point in (first, second):
+        assert graph_sum(family, 3, point) == _enumerated_sum(family, 3, point)
+
+
 @pytest.fixture
 def passes(monkeypatch):
-    """The degree of every recursion pass run from cold point caches on."""
+    """The degree and point count of every recursion pass run from cold
+    point caches on."""
     _clear_point_caches()
-    tops = []
+    batches = []
     recursion_pass = localization._recursion_pass
 
-    def counted(curves, top, point):
-        tops.append(top)
-        return recursion_pass(curves, top, point)
+    def counted(curves, top, points):
+        batches.append((top, len(points)))
+        return recursion_pass(curves, top, points)
 
     monkeypatch.setattr(localization, "_recursion_pass", counted)
-    return tops
+    return batches
+
+
+def _per_pair(batches):
+    """The degree of the pass run on each (curve system, point)."""
+    return [top for top, size in batches for _ in range(size)]
 
 
 @pytest.mark.parametrize("d_max", [2, 4])
 def test_verify_runs_one_pass_per_curve_system_and_point(passes, d_max):
     assert all(check.passed for check in verify_identities(d_max, 20, seed=101))
-    assert passes == [d_max] * (9 * 20)
+    assert _per_pair(passes) == [d_max] * (9 * 20)
     assert graph_sum.cache_info().misses == 15 * d_max * 20
 
 
@@ -697,8 +766,8 @@ def test_verify_runs_one_pass_per_curve_system_and_point(passes, d_max):
         # 3 points x 8 curve systems: the pairing skips the chart-0
         # triangle, whose mark factors vanish.
         (["table", "--dmax", "4"], 24),
-        # verify's 5 points x 9 systems; its first 3 points are the
-        # pairing's, whose 24 passes it reuses.
+        # verify's 5 points x 9 systems, run before the pairings, whose
+        # 3 points are verify's first.
         (["reproduce"], 45),
     ],
     ids=["table", "reproduce"],
@@ -708,16 +777,31 @@ def test_table_and_reproduce_run_one_pass_per_curve_system_and_point(
 ):
     assert main(argv + ["--seed", "0"]) == 0
     capsys.readouterr()
-    assert passes == [4] * expected
+    assert _per_pair(passes) == [4] * expected
 
 
-def test_verify_needs_room_for_one_points_passes_only(passes, monkeypatch):
-    # verify walks one point at a time, top degree first, so a pass cache
-    # with room for one point's nine passes still runs each pass once.
-    small = lru_cache(maxsize=9)(localization._stored_pass.__wrapped__)
+def test_verify_needs_room_for_one_batchs_passes_only(passes, monkeypatch):
+    # verify reads its points one batch at a time, so a pass cache with room
+    # for one batch on each of the nine curve systems still runs each pass
+    # once, with more points than one batch holds.
+    bound = localization._PASS_BATCH_SIZE
+    small = lru_cache(maxsize=9 * bound)(localization._stored_pass.__wrapped__)
     monkeypatch.setattr(localization, "_stored_pass", small)
-    assert all(check.passed for check in verify_identities(4, 5, seed=101))
-    assert passes == [4] * (9 * 5)
+    assert all(check.passed for check in verify_identities(4, bound + 5, seed=101))
+    assert _per_pair(passes) == [4] * (9 * (bound + 5))
+    assert sorted({size for _, size in passes}) == [5, bound]
+
+
+def test_no_batch_exceeds_the_bound_and_stored_pairs_are_skipped(passes):
+    bound = localization._PASS_BATCH_SIZE
+    points = sample_specializations(2 * bound + 1, seed=19, forbidden=forbidden_weights(2))
+    family = pair_family(0, 1)
+    keys = [(family.curves, point) for point in points]
+    assert localization.fill_passes(keys + keys, 1) == []
+    assert passes == [(1, bound), (1, bound), (1, 1)]
+    assert localization.fill_passes(keys[:3], 1) == []
+    assert localization.fill_passes(keys[:3], 2) == []
+    assert passes[3:] == [(2, 3)]
 
 
 def test_point_caches_are_bounded_and_never_evict_in_verify():
@@ -759,20 +843,19 @@ def test_degenerate_walls_raise_and_never_divide_by_zero():
 
 
 def test_passes_on_the_walls_stop_exactly_where_they_did():
-    # One point on each wall of forbidden_weights(3).  A degree-3 pass on a
-    # curve system stops there exactly when a form it inverts vanishes; the
-    # count pins that set, so inverting more or fewer forms fails here.  A
-    # form vanishes at a multiple of a point exactly when it vanishes at the
-    # point, so one point per wall probes every form.
+    # One point on each wall of forbidden_weights(3), all in one batch per
+    # curve system.  A degree-3 pass on a curve system stops at a point
+    # exactly when a form it inverts vanishes there; the count pins that
+    # set, so inverting more or fewer forms fails here.  A form vanishes at
+    # a multiple of a point exactly when it vanishes at the point, so one
+    # point per wall probes every form.
     systems = {family.curves for family in FAMILIES}
     assert len(systems) == 9
+    walls = [Specialization(form.b, -form.a) for form in forbidden_weights(3)]
     stopped = total = 0
-    for form in forbidden_weights(3):
-        wall = Specialization(form.b, -form.a)
-        for curves in systems:
-            total += 1
-            try:
-                localization._recursion_pass(curves, 3, wall)
-            except DegenerateSpecializationError:
-                stopped += 1
+    for curves in systems:
+        results = localization._recursion_pass(curves, 3, walls)
+        assert set(results) == set(walls)
+        total += len(results)
+        stopped += sum(isinstance(r, DegenerateSpecializationError) for r in results.values())
     assert (stopped, total) == (108, 378)
