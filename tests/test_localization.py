@@ -620,32 +620,21 @@ def test_dot_weights_can_cancel_equal_terms():
 operands = st.one_of(
     st.integers(-30, 30), st.just(0), st.fractions(-30, 30, max_denominator=60)
 )
-# Groups of pairs with the int weights the pass gives them: 1, -1 and k.
-groups = st.lists(
-    st.tuples(st.integers(-12, 12), st.lists(st.tuples(operands, operands), max_size=6)),
+# A batch of 1 to 4 points and groups of pairs, each operand with a value at
+# every point, with the int weights the pass gives them: 1, -1 and k.
+batches = st.integers(1, 4).flatmap(lambda count: st.tuples(st.just(count), st.lists(
+    st.tuples(st.integers(-12, 12), st.lists(st.tuples(
+        st.lists(operands, min_size=count, max_size=count),
+        st.lists(operands, min_size=count, max_size=count),
+    ), max_size=6)),
     max_size=4,
-)
+)))
 
 
-@given(groups, st.integers(1, 12))
-def test_dot_is_fraction_arithmetic(groups, divisor):
-    value = _dot(_pairs(groups), divisor)
-    expected = _fraction_dot(groups, divisor)
-    if expected:
-        assert _as_fraction(value) == expected
-    else:
-        assert not value
-        assert value == 0
-
-
-@given(st.integers(1, 4), st.data())
-def test_dot_over_a_batch_is_the_dot_at_each_point(count, data):
-    column = st.lists(operands, min_size=count, max_size=count)
-    groups = data.draw(st.lists(
-        st.tuples(st.integers(-12, 12), st.lists(st.tuples(column, column), max_size=6)),
-        max_size=4,
-    ))
-    divisor = data.draw(st.integers(1, 12))
+@given(batches, st.integers(1, 12))
+def test_dot_is_fraction_arithmetic(batch, divisor):
+    # At each point of the batch, the sum of that point's terms.
+    count, groups = batch
     value = _dot(
         [(k, [(_column(xs), _column(ys)) for xs, ys in pairs]) for k, pairs in groups], divisor
     )
@@ -654,9 +643,7 @@ def test_dot_over_a_batch_is_the_dot_at_each_point(count, data):
         for n in range(count)
     ]
     if any(expected):
-        assert len(value) == count
-        for sum_, fraction in zip(value, expected):
-            assert (_as_fraction((sum_,)) if sum_ else 0) == fraction
+        assert [_as_fraction((v,)) if v else 0 for v in value] == expected
     else:
         assert value == 0 and type(value) is int
 
