@@ -14,12 +14,17 @@ isomorphism into rooted-tree isomorphism, and canonical rooted growth
 duplicate-free.
 
 Each graph is laid out, validated and given its symmetry order in time
-linear in its size.  Within one ``enumerate_graphs`` call, equal edge records
-of different graphs are one shared (frozen) object.
+linear in its size.  Within one ``enumerate_graphs`` call, equal edge records,
+equal vertex tuples and equal mark tuples of different graphs are one shared
+object each, and graphs and edges carry no per-instance ``__dict__``.  Rooted
+subtrees below the top degree are cached; the top-level encodings are built
+per call and dropped once the graphs are laid out, since the graphs
+themselves are what ``enumerate_graphs`` caches.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """An edge of a stable graph: a degree-``degree`` covering of ``curve``."""
 
@@ -50,7 +55,7 @@ class Edge:
     degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StableGraph:
     """A marked labeled tree; vertex identity is the index into ``vertices``."""
 
@@ -111,9 +116,13 @@ def _other_end(curve: Curve, label: FixedPoint) -> FixedPoint:
     return b if label == a else a
 
 
-@lru_cache(maxsize=None)
-def _subtrees(family: Family, label: FixedPoint, budget: int, with_mark: bool) -> tuple:
-    """All canonical rooted subtrees with the given root label and beta budget."""
+def _rooted_trees(family: Family, label: FixedPoint, budget: int, with_mark: bool) -> list:
+    """All canonical rooted subtrees with the given root label and beta budget.
+
+    Uncached: ``enumerate_graphs`` calls it for the top level, whose
+    encodings are needed only until the graphs are laid out.  Every smaller
+    budget is read from ``_subtrees``.
+    """
     mark_label = family.mark_labels[1]
     results = []
     if with_mark and label == mark_label:
@@ -135,7 +144,13 @@ def _subtrees(family: Family, label: FixedPoint, budget: int, with_mark: bool) -
     else:
         for children in _child_multisets(family, label, budget, None):
             results.append((label, False, children))
-    return tuple(results)
+    return results
+
+
+@lru_cache(maxsize=None)
+def _subtrees(family: Family, label: FixedPoint, budget: int, with_mark: bool) -> tuple:
+    """``_rooted_trees``, cached, for the subtrees hanging below a top level."""
+    return tuple(_rooted_trees(family, label, budget, with_mark))
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +183,7 @@ def _child_multisets(family: Family, label: FixedPoint, budget: int, bound) -> t
 
 
 def _materialize(
-    encoding: tuple, curves: dict[str, Curve], shared: dict[tuple, Edge]
+    encoding: tuple, curves: dict[str, Curve], shared: dict[tuple, object]
 ) -> StableGraph:
     """Lay an encoding out as a graph, vertices in depth-first preorder.
 
@@ -176,8 +191,11 @@ def _materialize(
     behind for the cyclic collector.
 
     ``curves`` maps the family's curve names to curves; ``shared`` holds the
-    edge records already built in this enumeration, so equal edges of
-    different graphs are one object.
+    edge records, vertex tuples and mark tuples already built in this
+    enumeration, each keyed by its value, so equal ones of different graphs
+    are one object.  The keys cannot collide: an edge is keyed by four
+    fields, a mark tuple is two integers and a vertex tuple holds fixed
+    points only.
     """
     vertices: list[FixedPoint] = []
     edges: list[Edge] = []
@@ -201,7 +219,11 @@ def _materialize(
         stack += [(index, name, deg, child) for name, deg, child in reversed(children)]
     if second < 0:
         raise ValueError("encoding carries no second mark")
-    return StableGraph(tuple(vertices), tuple(edges), (0, second))
+    labels = tuple(vertices)
+    marks = (0, second)
+    return StableGraph(
+        shared.setdefault(labels, labels), tuple(edges), shared.setdefault(marks, marks)
+    )
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -210,17 +232,27 @@ def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
 
     The first mark always sits at vertex 0 and carries the smaller of the
     family's two mark labels, which normalizes the mark swap.
+
+    The cyclic collector is paused while the graphs are built and validated,
+    and left as it was found: the layout makes no reference cycle, so a
+    collection over the growing heap would only cost time.
     """
     positive_degree(d)
     curves = {curve.name: curve for curve in family.curves}
-    shared: dict[tuple, Edge] = {}
-    graphs = [
-        _materialize(encoding, curves, shared)
-        for encoding in _subtrees(family, family.mark_labels[0], d, True)
-    ]
-    for graph in graphs:
-        validate_graph(family, graph)
-    return tuple(graphs)
+    shared: dict[tuple, object] = {}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        graphs = tuple(
+            _materialize(encoding, curves, shared)
+            for encoding in _rooted_trees(family, family.mark_labels[0], d, True)
+        )
+        for graph in graphs:
+            validate_graph(family, graph)
+    finally:
+        if collecting:
+            gc.enable()
+    return graphs
 
 
 def _rooted_encoding_and_aut(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -94,10 +94,15 @@ class Specialization:
     one.  A ``float`` coordinate raises ``TypeError``: its binary expansion
     would pass for the rational the caller meant.  So does a ``bool``, which
     would pass for 0 or 1.
+
+    Equality compares ``(w, z)``; the hash of that pair is computed once, at
+    construction, since every cache keyed by a point hashes it on each
+    lookup.
     """
 
     w: Fraction
     z: Fraction
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.w, (float, bool)) or isinstance(self.z, (float, bool)):
@@ -107,6 +112,10 @@ class Specialization:
             )
         object.__setattr__(self, "w", Fraction(self.w))
         object.__setattr__(self, "z", Fraction(self.z))
+        object.__setattr__(self, "_hash", hash((self.w, self.z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def as_strings(self) -> tuple[str, str]:
         return format_rational(self.w), format_rational(self.z)

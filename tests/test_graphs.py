@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hilb3 import graphs as graphs_module
 from hilb3.geometry import CHART_PAIRS, CHARTS, STRATUM_PAIRS, curve_catalog, pair_curve
 from hilb3.graphs import (
     Edge,
@@ -291,6 +292,52 @@ def test_enumerated_graphs_share_edge_records():
     graphs = enumerate_graphs(pair_family(0, 1), 4)
     edges = [e for g in graphs for e in g.edges]
     assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
+
+
+def test_enumerated_graphs_share_vertex_and_mark_tuples():
+    graphs = enumerate_graphs.__wrapped__(punctual_family(0, 0, 1), 5)
+    for field in ("vertices", "marks"):
+        values = [getattr(g, field) for g in graphs]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+
+
+def _clear_enumeration_caches():
+    for cached in (enumerate_graphs, graphs_module._subtrees, graphs_module._items):
+        cached.cache_clear()
+
+
+def test_enumeration_does_not_depend_on_call_order():
+    # Only subtrees below the top degree are cached, so a degree enumerated
+    # cold, after every lower degree, or uncached must give equal graphs.
+    cold = {}
+    for family in FAMILIES:
+        for d in range(1, 6):
+            _clear_enumeration_caches()
+            cold[family, d] = enumerate_graphs(family, d)
+    _clear_enumeration_caches()
+    for family in FAMILIES:
+        for d in range(1, 6):
+            assert enumerate_graphs(family, d) == cold[family, d]
+            assert enumerate_graphs.__wrapped__(family, d) == cold[family, d]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_the_collector_state(monkeypatch, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        enumerate_graphs.__wrapped__(pair_family(0, 1), 3)
+        assert gc.isenabled() is enabled
+
+        def refuse(family, graph):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(graphs_module, "validate_graph", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            enumerate_graphs.__wrapped__(pair_family(0, 1), 3)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_enumeration_leaves_no_reference_cycles():

@@ -210,6 +210,29 @@ def test_specialization_rejects_float_coordinates():
     assert {type(point.w), type(point.z)} == {Fraction}
 
 
+def test_a_point_is_hashed_once_at_construction(monkeypatch):
+    point = Specialization(Fraction(-41, 19), Fraction(-13, 67))
+    expected = hash((Fraction(-41, 19), Fraction(-13, 67)))
+
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ called")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert hash(point) == expected
+    assert {point: 1}[point] == 1
+
+
+def test_equal_points_hash_equal_whatever_their_input_types():
+    points = [
+        Specialization(2, -5),
+        Specialization(Fraction(2), Fraction(-5)),
+        Specialization(2, Fraction(-10, 2)),
+        Specialization(Fraction(4, 2), -5),
+    ]
+    assert len({hash(p) for p in points}) == 1 and len(set(points)) == 1
+    assert Specialization(2, -5) != Specialization(-5, 2)
+
+
 def test_sampler_rejects_a_negative_count():
     with pytest.raises(ValueError, match="must not be negative"):
         sample_specializations(-3)
