@@ -48,8 +48,15 @@ SCHEMA = "1"
 # 1012 distinct draws at seed 0, far inside its budget of 10 000.
 MAX_POINTS = 1000
 
-# Every bounded option takes integers from 1 up to its most, if it has one.
+# The highest degree ``graphs`` enumerates.  The graph count grows about
+# fivefold per degree: punctual(0;0,1) has 47 876 graphs at degree 8, listed
+# in about a second, 232 769 at 9 (123 MiB) and 1 135 583 at 10 (540 MiB).
+MAX_GRAPH_DEGREE = 8
+
+# Every bounded option takes integers from 1 up to its most, if it has one;
+# a command may set its own most for an option.
 _BOUNDS = {"d": None, "points": MAX_POINTS, "specs": MAX_POINTS, "dmax": RECORDED_TOP_DEGREE}
+_COMMAND_BOUNDS = {"graphs": {"d": MAX_GRAPH_DEGREE}}
 
 # What a command returns: its JSON payload and its plain-text stdout lines.
 Output = tuple[dict, list[str]]
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     parser = args.parser  # the subcommand's, as for argparse's own errors
-    for name, most in _BOUNDS.items():
+    for name, most in {**_BOUNDS, **_COMMAND_BOUNDS.get(args.command, {})}.items():
         value = getattr(args, name, None)
         if value is None:
             continue

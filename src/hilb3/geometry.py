@@ -17,7 +17,7 @@ with endpoint tangent weights and curve-class multiples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
@@ -101,6 +101,11 @@ class FixedPoint:
     Field order gives the lexicographic comparison used to normalize which
     marked point goes first: dataclass ordering compares
     ``(kind, chart, stratum, other, local)``.
+
+    The hash of that tuple is computed once, at construction, since points
+    key the enumeration's caches and shared vertex tuples.  It hashes a
+    string, so it holds for one process only; a pickled point is rebuilt
+    from its fields and hashed afresh.
     """
 
     kind: Literal["pair", "punctual"]
@@ -108,6 +113,18 @@ class FixedPoint:
     stratum: int = -1
     other: int = -1
     local: int = -1
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.chart, self.stratum, self.other, self.local))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return FixedPoint, (self.kind, self.chart, self.stratum, self.other, self.local)
 
     @staticmethod
     def punctual(chart: int, stratum: int) -> "FixedPoint":

@@ -13,20 +13,24 @@ isomorphism into rooted-tree isomorphism, and canonical rooted growth
 (children generated as non-increasing key sequences) is exhaustive and
 duplicate-free.
 
-Each graph is laid out, validated and given its symmetry order in time
-linear in its size.  Within one ``enumerate_graphs`` call, equal edge records,
-equal vertex tuples and equal mark tuples of different graphs are one shared
-object each, and graphs and edges carry no per-instance ``__dict__``.  Rooted
-subtrees below the top degree are cached; the top-level encodings are built
-per call and dropped once the graphs are laid out, since the graphs
-themselves are what ``enumerate_graphs`` caches.
+Each graph is laid out and validated in time linear in its size.  Its
+symmetry order is computed while its canonical encoding is built: every
+encoding node carries the order of its rooted subtree, so each shared
+subtree's order is computed once, and a graph's order is read off its root
+node in time linear in the root's children.  Within one ``enumerate_graphs``
+call, equal edge records, equal vertex tuples and equal mark tuples of
+different graphs are one shared object each, and graphs and edges carry no
+per-instance ``__dict__``.  Rooted subtrees below the top degree are
+cached; the top-level encodings are built per call and dropped once the
+graphs are laid out, since the graphs themselves are what
+``enumerate_graphs`` caches.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .geometry import (CHART_PAIRS, STRATUM_PAIRS, Curve, FixedPoint, curve_catalog,
@@ -57,11 +61,18 @@ class Edge:
 
 @dataclass(frozen=True, slots=True)
 class StableGraph:
-    """A marked labeled tree; vertex identity is the index into ``vertices``."""
+    """A marked labeled tree; vertex identity is the index into ``vertices``.
+
+    ``symmetry`` is the graph's symmetry order when ``enumerate_graphs`` built
+    it, and 0 otherwise: it is no ``__init__`` argument, so a graph built by
+    hand or by ``dataclasses.replace`` never carries an order it was not
+    enumerated with.  It takes no part in equality, hashing or ``repr``.
+    """
 
     vertices: tuple[FixedPoint, ...]
     edges: tuple[Edge, ...]
     marks: tuple[int, int]
+    symmetry: int = field(default=0, init=False, compare=False, repr=False)
 
     def mark_count(self, vertex: int) -> int:
         return (self.marks[0] == vertex) + (self.marks[1] == vertex)
@@ -101,9 +112,29 @@ def punctual_family(i: int, j: int, k: int) -> Family:
     return Family(marked.name, curves, marked.endpoints)
 
 
-# A rooted subtree is encoded as (label, carries_second_mark, children) with
-# children a sorted tuple of (curve_name, degree, child_encoding).  Encodings
-# are canonical: equal encodings <=> isomorphic rooted marked subtrees.
+# A rooted subtree is encoded as (label, carries_second_mark, children,
+# symmetry) with children a sorted tuple of (curve_name, degree,
+# child_encoding).  Encodings are canonical: equal encodings <=> isomorphic
+# rooted marked subtrees.  The symmetry order is a function of the first
+# three entries, so it never decides how encodings sort or compare.
+
+
+def _node(label: FixedPoint, marked: bool, children: tuple) -> tuple:
+    """The encoding node of a rooted subtree, with its symmetry order.
+
+    The order is the product over children of the edge degree times the
+    child's order, times the factorial of the length of every run of equal
+    children: ``children`` is sorted, so equal children are adjacent, and
+    the k-th child of a run contributes the factor k.
+    """
+    symmetry = 1
+    run = 0
+    previous = None
+    for item in children:
+        run = run + 1 if item == previous else 1
+        symmetry *= item[1] * item[2][3] * run
+        previous = item
+    return (label, marked, children, symmetry)
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +158,7 @@ def _rooted_trees(family: Family, label: FixedPoint, budget: int, with_mark: boo
     results = []
     if with_mark and label == mark_label:
         for children in _child_multisets(family, label, budget, None):
-            results.append((label, True, children))
+            results.append(_node(label, True, children))
     if with_mark:
         # The second mark goes into exactly one branch.
         for curve in _edges_at(family, label):
@@ -140,10 +171,10 @@ def _rooted_trees(family: Family, label: FixedPoint, budget: int, with_mark: boo
                         rest = budget - spent - branch_budget
                         for children in _child_multisets(family, label, rest, None):
                             merged = tuple(sorted(children + (marked_item,)))
-                            results.append((label, False, merged))
+                            results.append(_node(label, False, merged))
     else:
         for children in _child_multisets(family, label, budget, None):
-            results.append((label, False, children))
+            results.append(_node(label, False, children))
     return results
 
 
@@ -185,7 +216,8 @@ def _child_multisets(family: Family, label: FixedPoint, budget: int, bound) -> t
 def _materialize(
     encoding: tuple, curves: dict[str, Curve], shared: dict[tuple, object]
 ) -> StableGraph:
-    """Lay an encoding out as a graph, vertices in depth-first preorder.
+    """Lay an encoding out as a graph, vertices in depth-first preorder, and
+    store the root node's symmetry order on it.
 
     The layout runs on an explicit stack, so it leaves no reference cycle
     behind for the cyclic collector.
@@ -205,7 +237,7 @@ def _materialize(
     # last first, so they are popped, and numbered, in order.
     stack: list[tuple] = [(-1, "", 0, encoding)]
     while stack:
-        parent, curve_name, degree, (label, marked, children) = stack.pop()
+        parent, curve_name, degree, (label, marked, children, _) = stack.pop()
         index = len(vertices)
         vertices.append(label)
         if marked:
@@ -221,9 +253,11 @@ def _materialize(
         raise ValueError("encoding carries no second mark")
     labels = tuple(vertices)
     marks = (0, second)
-    return StableGraph(
+    graph = StableGraph(
         shared.setdefault(labels, labels), tuple(edges), shared.setdefault(marks, marks)
     )
+    object.__setattr__(graph, "symmetry", encoding[3])
+    return graph
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -279,11 +313,15 @@ def _rooted_encoding_and_aut(
 def automorphism_order(graph: StableGraph) -> int:
     """Order of the graph's deck-transformation group ``|Aut| * prod(d_e)``.
 
+    An enumerated graph carries its order in ``symmetry``, computed while
+    its encoding was built, and that is returned.  Any other graph is walked:
     ``Aut`` is computed by rooting at the first mark: every automorphism
     fixes both marked vertices, so rooted and unrooted automorphisms agree.
     The neighbour lists are built once, so any edge order and orientation
     gives the same result in time linear in the graph.
     """
+    if graph.symmetry:
+        return graph.symmetry
     around: list[list[tuple[int, Edge]]] = [[] for _ in graph.vertices]
     for edge in graph.edges:
         around[edge.head].append((edge.tail, edge))

@@ -193,6 +193,34 @@ def test_graphs_degree_zero_is_usage_error(capsys):
     assert "--d must be a positive integer" in err
 
 
+def test_graphs_degree_past_the_bound_is_usage_error_before_enumeration(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_graphs", lambda family, d: pytest.fail("enumerated"))
+    degree = str(cli.MAX_GRAPH_DEGREE + 1)
+    code, err = _usage_error(capsys, "graphs", "--family", "pair", "--i", "0", "--j", "1",
+                             "--d", degree)
+    assert code == 2
+    assert err.endswith(f"hilb3 graphs: error: --d must be at most {cli.MAX_GRAPH_DEGREE}\n")
+
+
+def test_graphs_enumerates_up_to_the_bound(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_graphs", lambda family, d: ())
+    code, out = run_cli(capsys, "graphs", "--family", "pair", "--i", "0", "--j", "1",
+                        "--d", str(cli.MAX_GRAPH_DEGREE))
+    assert code == 0
+    assert out == f"family pair(0,1), degree {cli.MAX_GRAPH_DEGREE}: 0 stable graphs\n"
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [(["graphsum", "--family", "pair", "--i", "0", "--j", "1"], "_cmd_graphsum"),
+     (["invariant"], "_cmd_invariant")],
+)
+def test_the_graph_degree_bound_is_for_graphs_alone(capsys, monkeypatch, argv, handler):
+    monkeypatch.setattr(cli, handler, lambda args: ({"d": args.d}, [f"d = {args.d}"]))
+    code, out = run_cli(capsys, *argv, "--d", str(cli.MAX_GRAPH_DEGREE + 1))
+    assert (code, out) == (0, f"d = {cli.MAX_GRAPH_DEGREE + 1}\n")
+
+
 def test_graphsum_degree_zero_is_usage_error(capsys):
     code, err = _usage_error(
         capsys, "graphsum", "--family", "pair", "--i", "0", "--j", "1", "--d", "0"

@@ -1,6 +1,7 @@
 """Fixed-point catalog, tangent characters and the invariant-curve graph."""
 
 import hashlib
+import pickle
 import re
 from fractions import Fraction
 
@@ -59,6 +60,44 @@ def test_fixed_point_census():
     pairs = [p for p in points if p.kind == "pair"]
     assert len(punctual) == 9
     assert len(pairs) == 12
+
+
+def _fields(point):
+    return (point.kind, point.chart, point.stratum, point.other, point.local)
+
+
+def test_equal_points_hash_equal_however_they_were_built():
+    for point in fixed_points():
+        if point.kind == "punctual":
+            rebuilt = FixedPoint.punctual(point.chart, point.stratum)
+        else:
+            rebuilt = FixedPoint.pair(point.chart, point.other, point.local)
+        direct = FixedPoint(*_fields(point))
+        assert point == rebuilt == direct
+        assert hash(point) == hash(rebuilt) == hash(direct) == hash(_fields(point))
+    assert FixedPoint("punctual", 0, stratum=1) == FixedPoint.punctual(0, 1)
+
+
+def test_a_point_is_hashed_once_at_construction():
+    # The hash is read from the point, not recomputed from its fields.
+    point = FixedPoint.pair(0, 1, 2)
+    object.__setattr__(point, "_hash", 12345)
+    assert hash(point) == 12345
+    assert point == FixedPoint.pair(0, 1, 2)
+
+
+def test_a_pickled_point_is_hashed_afresh():
+    point = FixedPoint.punctual(2, 1)
+    object.__setattr__(point, "_hash", 12345)
+    restored = pickle.loads(pickle.dumps(point))
+    assert restored == point and hash(restored) == hash(_fields(point))
+
+
+def test_points_sort_by_their_fields():
+    points = fixed_points()
+    assert sorted(points) == sorted(points, key=_fields)
+    first, second = sorted(points)[:2]
+    assert (_fields(first), _fields(second)) == (("pair", 0, -1, 1, 1), ("pair", 0, -1, 1, 2))
 
 
 def test_tangent_characters_have_rank_six():

@@ -7,6 +7,7 @@ enumerator under test and is feasible for small degrees, which is exactly
 where the enumerator's recursion could plausibly go wrong.
 """
 
+import dataclasses
 import gc
 import heapq
 import itertools
@@ -272,10 +273,47 @@ DEGREE_FIVE = {
 }
 
 
+# Per family at d = 6: (graph count, sum of automorphism orders), captured
+# from the enumerator before it recorded each graph's order while building it,
+# when every order came from walking the laid-out graph.
+DEGREE_SIX = {
+    **{f"pair({i},{j})": (514, 2272) for i in range(3) for j in range(3) if i != j},
+    **{f"punctual({i};{j},{k})": (2051, 6615) for i in range(3) for j, k in ((0, 1), (0, 2))},
+    **{f"punctual({i};1,2)": (930, 2509) for i in range(3)},
+}
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_degree_five_counts_and_orders_are_pinned(family):
     graphs = enumerate_graphs(family, 5)
     assert (len(graphs), sum(automorphism_order(g) for g in graphs)) == DEGREE_FIVE[family.name]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_degree_six_counts_and_orders_are_pinned(family):
+    graphs = enumerate_graphs(family, 6)
+    assert (len(graphs), sum(automorphism_order(g) for g in graphs)) == DEGREE_SIX[family.name]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_stored_symmetry_orders_match_the_layout_walk(family):
+    # A copy built by hand carries no order, so automorphism_order walks it.
+    for d in range(1, 7):
+        for graph in enumerate_graphs(family, d):
+            copy = StableGraph(graph.vertices, graph.edges, graph.marks)
+            assert copy.symmetry == 0 and graph.symmetry > 0
+            assert copy == graph and hash(copy) == hash(graph) and repr(copy) == repr(graph)
+            assert graph.symmetry == automorphism_order(copy)
+
+
+def test_a_replaced_graph_carries_no_symmetry_order():
+    graph = max(enumerate_graphs(pair_family(0, 1), 4), key=automorphism_order)
+    assert graph.symmetry == automorphism_order(graph) > 1
+    flipped = tuple(Edge(e.tail, e.head, e.curve, e.degree) for e in graph.edges)
+    replaced = dataclasses.replace(graph, edges=flipped)
+    assert replaced.symmetry == 0
+    assert automorphism_order(replaced) == graph.symmetry
+    assert dataclasses.replace(graph).symmetry == 0
 
 
 def test_equal_families_hash_equal_and_share_the_cache():
