@@ -38,7 +38,7 @@ from .fock import (
 from .geometry import (CHART_PAIRS, CHARTS, STRATUM_PAIRS, FixedPoint, hyperplane_weight,
                        pair_weights, taut_c1, torus_weights)
 from .graphs import Family, pair_family, punctual_family
-from .localization import _PASS_BATCH_SIZE, fill_passes, forbidden_weights, graph_sum
+from .localization import forbidden_weights, graph_sum, in_batches
 from .scalars import (
     Rational,
     Specialization,
@@ -129,12 +129,12 @@ def _draw(count: int, d: int, seed: int) -> list[Specialization]:
     return sample_specializations(count, seed=seed, forbidden=forbidden_weights(d))
 
 
-def _every_system(points: list[Specialization]) -> list[tuple]:
-    """The (curve system, point) keys of all nine systems at ``points``:
-    the six pair curves and the three punctual triangles."""
+def _every_system(point: Specialization) -> list[tuple]:
+    """All nine curve systems, at any point: the six pair curves and the
+    three punctual triangles."""
     families = [pair_family(i, j) for i, j in CHART_PAIRS]
     families += [punctual_family(i, *STRATUM_PAIRS[0]) for i in CHARTS]
-    return [(family.curves, point) for point in points for family in families]
+    return [family.curves for family in families]
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,8 @@ def two_point_pairing(d: int, num_points: int = 3, seed: int = 0) -> InvariantRe
     if num_points < 1:
         raise ValueError("need at least one specialization")
     points = _draw(num_points, d, seed)
-    fill_passes([(f.curves, point) for point in points for _, f in _two_point_terms(point)], d)
-    totals = [two_point_total(d, point) for point in points]
+    walk = in_batches(points, lambda point: [f.curves for _, f in _two_point_terms(point)], d)
+    totals = [two_point_total(d, point) for point in walk]
     if any(total != totals[0] for total in totals):
         values = "; ".join(
             f"{format_rational(total)} at w={point.w}, z={point.z}"
@@ -368,23 +368,18 @@ def verify_identities(
         for name, first, indices, context, engine, closed in _IDENTITIES
         if d >= first
     ]
-    # The points are read one batch at a time: the batch's degree-d_max pass
-    # on each curve system serves every degree, and the pass cache needs
-    # room for one batch only.  A record keeps its first mismatch, points
-    # outermost.
+    # One degree-d_max pass per curve system and point serves every degree.
+    # A record keeps its first mismatch, points outermost.
     failures: dict[str, str] = {}
-    for start in range(0, len(points), _PASS_BATCH_SIZE):
-        batch = points[start:start + _PASS_BATCH_SIZE]
-        fill_passes(_every_system(batch), d_max)
-        for pt in batch:
-            for name, head, indices, context, engine, closed in records:
-                for index in indices:
-                    if name in failures:
-                        break
-                    lhs, rhs = engine(*head, *index, pt), closed(*head, *index, pt)
-                    if lhs != rhs:
-                        where = f"{context.format(*index)} at w={pt.w}, z={pt.z}"
-                        failures[name] = f"{where}: {lhs} != {rhs}"
+    for pt in in_batches(points, _every_system, d_max):
+        for name, head, indices, context, engine, closed in records:
+            for index in indices:
+                if name in failures:
+                    break
+                lhs, rhs = engine(*head, *index, pt), closed(*head, *index, pt)
+                if lhs != rhs:
+                    where = f"{context.format(*index)} at w={pt.w}, z={pt.z}"
+                    failures[name] = f"{where}: {lhs} != {rhs}"
     return [IdentityCheck(name, name not in failures, failures.get(name, ""))
             for name, *_ in records]
 
@@ -414,10 +409,10 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(IdentityCheck(name, passed, detail))
 
-    # One degree-4 pass per curve system over verify's points, the first
-    # three of which are the pairings', serves every check below.
-    fill_passes(_every_system(_draw(_REPRODUCE_SPECS, RECORDED_TOP_DEGREE, seed)),
-                RECORDED_TOP_DEGREE)
+    # verify's degree-4 passes, one per curve system at each of its points,
+    # the first three of which are the pairings', serve every pairing; its
+    # checks are reported after the pairings'.
+    identities = verify_identities(num_specs=_REPRODUCE_SPECS, seed=seed)
     # Top degree first, so a point that a lower degree shares with a higher
     # one reuses its pass.
     outcomes: dict[int, InvariantResult | ConsistencyError] = {}
@@ -444,7 +439,7 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
             f"got {format_rational(result.value)}",
         )
 
-    checks.extend(verify_identities(num_specs=_REPRODUCE_SPECS, seed=seed))
+    checks.extend(identities)
 
     datum = monomial((2, LINE), (1, POINT))
     partner = monomial((2, LINE), (1, SURFACE))

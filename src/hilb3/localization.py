@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import (
     Curve,
@@ -40,9 +40,11 @@ from .scalars import (
 )
 
 # Bounds of the caches keyed by a Specialization.  ``hilb3 verify --dmax 4
-# --specs 20`` fills 1200 graph sums, 180 stored passes (one per curve
-# system and point, run as 9 batches of 20 points) and 1020 edge factors;
-# each bound leaves room for several such runs in one process.
+# --specs 20`` fills 1200 graph sums, 180 stored passes and 1020 edge
+# factors.  Every command reads its points through :func:`in_batches`, so
+# the passes it is about to read are one batch's on each curve system, at
+# most 9 * 32, and a stored pass is read before it can be evicted at any
+# point count.
 _GRAPH_SUM_CACHE_SIZE = 8192
 _PASS_CACHE_SIZE = 2048
 # The most points one recursion pass runs over.  A batch shares the pass's
@@ -539,12 +541,12 @@ def fill_passes(
     keys: Iterable[tuple[tuple[Curve, ...], Specialization]], top: int
 ) -> list[DegenerateSpecializationError]:
     """Store a degree-``top`` pass for each (curve system, point) of ``keys``
-    whose stored pass has a lower degree.
+    whose stored pass has a lower degree, one :func:`_recursion_pass` per
+    system over all of its points.
 
-    Each system runs one :func:`_recursion_pass` per batch of at most
-    ``_PASS_BATCH_SIZE`` of its points.  A point at which a form the pass
-    inverts vanishes drops out of its batch and is not stored: its error is
-    returned, and :func:`graph_sum` raises it when the point is read.
+    A point at which a form the pass inverts vanishes drops out of its
+    batch and is not stored: its error is returned, and :func:`graph_sum`
+    raises it when the point is read.
     """
     batches: dict[tuple[Curve, ...], dict[Specialization, None]] = {}
     for curves, point in keys:
@@ -552,16 +554,31 @@ def fill_passes(
             batches.setdefault(curves, {})[point] = None
     errors = []
     for curves, points in batches.items():
-        points = list(points)
-        for start in range(0, len(points), _PASS_BATCH_SIZE):
-            batch = points[start:start + _PASS_BATCH_SIZE]
-            for point, totals in _recursion_pass(curves, top, batch).items():
-                if isinstance(totals, DegenerateSpecializationError):
-                    errors.append(totals)
-                else:
-                    stored = _stored_pass(curves, point)
-                    stored.totals, stored.top = totals, top
+        for point, totals in _recursion_pass(curves, top, list(points)).items():
+            if isinstance(totals, DegenerateSpecializationError):
+                errors.append(totals)
+            else:
+                stored = _stored_pass(curves, point)
+                stored.totals, stored.top = totals, top
     return errors
+
+
+def in_batches(points: Sequence[Specialization], systems: Callable[[Specialization], Iterable],
+               top: int) -> Iterator[Specialization]:
+    """Yield ``points`` in order, each once the degree-``top`` passes of its
+    curve systems ``systems(point)`` are stored.
+
+    The points are taken at most ``_PASS_BATCH_SIZE`` at a time, and each
+    slice's passes are filled just before its points are yielded, so a
+    caller that reads a point's graph sums when it gets the point needs room
+    in the pass cache for one slice's passes only.  A point whose pass fails
+    is still yielded, and reading it raises.  This is the seam a pool of
+    workers would map.
+    """
+    for start in range(0, len(points), _PASS_BATCH_SIZE):
+        batch = points[start:start + _PASS_BATCH_SIZE]
+        fill_passes([(curves, point) for point in batch for curves in systems(point)], top)
+        yield from batch
 
 
 @lru_cache(maxsize=_GRAPH_SUM_CACHE_SIZE, typed=True)
@@ -622,10 +639,10 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     on the curves and its degree, and a pass of degree ``D`` inverts all
     those of a pass of degree ``d <= D``.  So the highest pass that
     succeeded at a point is kept and read for every degree up to it.
-    :func:`fill_passes` runs the passes that callers of many points are
-    about to read, in batches; on a miss this runs a new pass, a batch of
-    one point, and raises if that point does not survive it.  A point that
-    raises is not kept.
+    Callers of many points read them through :func:`in_batches`, which
+    stores their passes one batch of points at a time; on a miss this runs
+    a new pass over one point through :func:`fill_passes`, and raises if
+    that point does not survive it.  A point that raises is not kept.
     """
     positive_degree(d)
     if errors := fill_passes([(family.curves, point)], d):

@@ -8,12 +8,14 @@ with it on randomized inputs.
 """
 
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from hilb3.graphs import (
 )
 from hilb3 import localization, scalars
 from hilb3.cli import main
-from hilb3.invariants import verify_identities
+from hilb3.invariants import two_point_pairing, verify_identities
 from hilb3.localization import (
     _dot,
     _splitting,
@@ -506,6 +508,37 @@ def test_graph_sums_in_degrees_11_and_12_at_two_points_are_pinned():
     assert digest == "964288e9f4bf1362358daa0e2eb5378d4fa87810a3bc7e1f1d31e5a7c45f65ec"
 
 
+# Every family's graph sums in degrees 13..24 at two points, written as p/q
+# by the pass on reduced integer pairs.
+HIGH_DEGREE = Path(__file__).parent / "golden" / "high_degree.json"
+
+
+def check_high_degree(top):
+    """Compare every family's graph sums in degrees 13..``top`` with
+    ``golden/high_degree.json``, naming each family, degree and point that
+    differs.  Top degree first, so one pass per curve system and point
+    serves every degree."""
+    assert 13 <= top <= 24, top
+    recorded = json.loads(HIGH_DEGREE.read_text())
+    points = sample_specializations(2, seed=0, forbidden=forbidden_weights(24))
+    assert [list(point.as_strings()) for point in points] == recorded["points"]
+    assert sorted(recorded["sums"]) == sorted(family.name for family in FAMILIES)
+    wrong = [
+        f"{family.name} degree {d} at w={point.w}, z={point.z}: got {value}, recorded {expected}"
+        for d in range(top, 12, -1)
+        for family in FAMILIES
+        for point, expected in zip(points, recorded["sums"][family.name][str(d)])
+        if (value := graph_sum(family, d, point)) != Fraction(expected)
+    ]
+    assert not wrong, "\n".join(wrong)
+
+
+def test_graph_sums_in_degrees_13_to_16_match_the_reference_file():
+    # Continuous integration checks the file to degree 24.
+    _clear_sums()
+    check_high_degree(16)
+
+
 def test_graph_sums_are_fractions_even_when_empty():
     # Inside the pass a value is an integer pair or the int 0; every value it
     # returns, the empty families' zeros included, is still a Fraction.
@@ -767,27 +800,44 @@ def test_table_and_reproduce_run_one_pass_per_curve_system_and_point(
     assert _per_pair(passes) == [4] * expected
 
 
-def test_verify_needs_room_for_one_batchs_passes_only(passes, monkeypatch):
-    # verify reads its points one batch at a time, so a pass cache with room
-    # for one batch on each of the nine curve systems still runs each pass
-    # once, with more points than one batch holds.
+@pytest.mark.parametrize(
+    "run, top, systems",
+    [
+        (lambda count: all(c.passed for c in verify_identities(4, count, seed=101)), 4, 9),
+        # The pairing skips the chart-0 triangle, whose mark factors vanish.
+        (lambda count: two_point_pairing(2, count).value == Fraction(81, 2), 2, 8),
+    ],
+    ids=["verify", "pairing"],
+)
+def test_a_store_with_room_for_one_batch_runs_each_pass_once(
+    passes, monkeypatch, run, top, systems
+):
+    # Points are read one batch at a time, so a pass cache with room for one
+    # batch on each of the nine curve systems still runs each pass once,
+    # with more points than one batch holds.
     bound = localization._PASS_BATCH_SIZE
     small = lru_cache(maxsize=9 * bound)(localization._stored_pass.__wrapped__)
     monkeypatch.setattr(localization, "_stored_pass", small)
-    assert all(check.passed for check in verify_identities(4, bound + 5, seed=101))
-    assert _per_pair(passes) == [4] * (9 * (bound + 5))
+    assert run(bound + 5)
+    assert _per_pair(passes) == [top] * (systems * (bound + 5))
     assert sorted({size for _, size in passes}) == [5, bound]
 
 
-def test_no_batch_exceeds_the_bound_and_stored_pairs_are_skipped(passes):
+def test_the_walk_fills_one_batch_at_a_time_and_stored_pairs_are_skipped(passes):
     bound = localization._PASS_BATCH_SIZE
     points = sample_specializations(2 * bound + 1, seed=19, forbidden=forbidden_weights(2))
     family = pair_family(0, 1)
+    # A system named twice at a point runs once; each batch's pass runs
+    # just before its first point is yielded.
+    walk = localization.in_batches(points, lambda point: [family.curves] * 2, 1)
+    seen = [(point, len(passes)) for point in walk]
+    assert [point for point, _ in seen] == points
+    assert [count for _, count in seen] == [1] * bound + [2] * bound + [3]
+    assert passes == [(1, bound), (1, bound), (1, 1)]
+    # fill_passes skips stored pairs and runs the rest as one pass per system.
     keys = [(family.curves, point) for point in points]
     assert localization.fill_passes(keys + keys, 1) == []
-    assert passes == [(1, bound), (1, bound), (1, 1)]
-    assert localization.fill_passes(keys[:3], 1) == []
-    assert localization.fill_passes(keys[:3], 2) == []
+    assert localization.fill_passes(keys[:3] + keys[:3], 2) == []
     assert passes[3:] == [(2, 3)]
 
 
