@@ -48,14 +48,21 @@ SCHEMA = "1"
 # 1012 distinct draws at seed 0, far inside its budget of 10 000.
 MAX_POINTS = 1000
 
+# The highest degree ``invariant`` and ``graphsum`` compute.  Two points at
+# the headline degree 37 took 56.8 s (``BENCH_18.json``) and the cost grows
+# about as d^3.3, so a run at the bound ends in minutes.
+MAX_DEGREE = 40
+
 # The highest degree ``graphs`` enumerates.  The graph count grows about
 # fivefold per degree: punctual(0;0,1) has 47 876 graphs at degree 8, listed
 # in about a second, 232 769 at 9 (123 MiB) and 1 135 583 at 10 (540 MiB).
 MAX_GRAPH_DEGREE = 8
 
-# Every bounded option takes integers from 1 up to its most, if it has one;
-# a command may set its own most for an option.
-_BOUNDS = {"d": None, "points": MAX_POINTS, "specs": MAX_POINTS, "dmax": RECORDED_TOP_DEGREE}
+# Every bounded option takes integers from 1 up to its most; a command may
+# set its own most for an option.
+_BOUNDS = {
+    "d": MAX_DEGREE, "points": MAX_POINTS, "specs": MAX_POINTS, "dmax": RECORDED_TOP_DEGREE,
+}
 _COMMAND_BOUNDS = {"graphs": {"d": MAX_GRAPH_DEGREE}}
 
 # What a command returns: its JSON payload and its plain-text stdout lines.
@@ -362,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         if value < 1:
             parser.error(f"--{name} must be a positive integer")
-        if most is not None and value > most:
+        if value > most:
             parser.error(f"--{name} must be at most {most}")
     if "family" in args:
         args.family = _resolve_family(parser, args)

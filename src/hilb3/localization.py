@@ -222,9 +222,11 @@ class _Flag:
     :data:`Pair` per point: ``weight`` is the flag weight omega, ``edge``
     the edge's share ``E/(degree * edge_euler)`` of the graph weight, with
     the label's tangent Euler factor ``E``, ``series[s]`` the coefficient
-    ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)``, and ``nodes[m]``
-    the factor ``1/(omega + omega_f)`` for the ``m``-th flag ``f`` at the
-    label.
+    ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)`` and ``weighted[s]``
+    the kid series ``edge * series[s]``, both for the t-degrees ``s < top
+    - cost`` that the pass reads, and ``nodes[m]`` the factor ``edge_f /
+    (omega + omega_f)`` for the ``m``-th flag ``f`` at the label, with the
+    share ``edge_f`` of the flag ``f`` that hangs below the node.
     """
 
     index: int
@@ -234,6 +236,7 @@ class _Flag:
     weight: tuple = ()
     edge: tuple = ()
     series: list = field(default_factory=list)
+    weighted: list = field(default_factory=list)
     nodes: tuple = ()
 
 
@@ -268,7 +271,7 @@ def _point_values(
 ) -> tuple[dict[FixedPoint, Pair], list[list]]:
     """Every value of a pass that depends on the point, as reduced pairs:
     each label's tangent Euler factor ``E``, and each flag's ``[weight,
-    edge, series, nodes]`` by its number (see :class:`_Flag`).
+    edge, series, weighted, nodes]`` by its number (see :class:`_Flag`).
 
     These invert every form a pass inverts, so a pass at ``point`` raises
     here or nowhere.
@@ -296,33 +299,33 @@ def _point_values(
                 # gcd with s! only, and the powers are kept running.
                 wn, wd = _reduced(num, den * degree)
                 a, b = (wd, wn) if wn > 0 else (-wd, -wn)
-                series, power_a, power_b, fact = [], a, b, 1
-                for s in range(top + 1):
+                e_num, e_den = euler[label]
+                edge = _reduced(e_num * factor.denominator, e_den * degree * factor.numerator)
+                series, weighted, power_a, power_b, fact = [], [], a, b, 1
+                for s in range(top - curve.beta * degree):
                     fact *= s or 1
                     g = math.gcd(power_a, fact)
-                    series.append((power_a // g, power_b * (fact // g)))
+                    term = (power_a // g, power_b * (fact // g))
+                    series.append(term)
+                    weighted.append(_reduced(edge[0] * term[0], edge[1] * term[1]))
                     power_a *= a
                     power_b *= b
-                e_num, e_den = euler[label]
-                values.append([
-                    (wn, wd),
-                    _reduced(e_num * factor.denominator, e_den * degree * factor.numerator),
-                    series,
-                ])
+                values.append([(wn, wd), edge, series, weighted])
     for here in flags.values():
         for p in here:
             omega = values[p.index][0]
             values[p.index].append(
-                [_node(omega, values[f.index][0], point) for f in here[:p.width]]
+                [_node(omega, *values[f.index][:2], point) for f in here[:p.width]]
             )
     return euler, values
 
 
-def _node(omega: Pair, other: Pair, point: Specialization) -> Pair:
-    """The node factor ``1/(omega + other)``, reduced once."""
+def _node(omega: Pair, other: Pair, edge: Pair, point: Specialization) -> Pair:
+    """The node factor ``edge/(omega + other)``, reduced once: ``edge`` is the
+    share of the flag of weight ``other``, which hangs below the node."""
     num = omega[0] * other[1] + other[0] * omega[1]
     invertible(num, "node smoothing weight", point)
-    return _reduced(omega[1] * other[1], num)
+    return _reduced(edge[0] * omega[1] * other[1], edge[1] * num)
 
 
 def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> tuple | int:
@@ -360,20 +363,6 @@ def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> tup
     return tuple(sums) if any(sums) else 0
 
 
-def _times(xs: tuple, ys: tuple) -> tuple:
-    """The :data:`Pair` of ``x * y`` at each point, and 0 where ``y`` is 0;
-    each numerator is reduced against the other's denominator, as both pairs
-    are already reduced, and no ``x`` is 0."""
-    out = []
-    for x, y in zip(xs, ys):
-        if y:
-            g, h = math.gcd(x[0], y[1]), math.gcd(y[0], x[1])
-            out.append(((x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)))
-        else:
-            out.append(0)
-    return tuple(out)
-
-
 def _coefficient(k: int, left: list, right: list, m: int) -> tuple[int, Iterable]:
     """The :func:`_dot` group of ``k`` times ``[t^m]`` of the product of the
     series ``left`` and ``right``; it is empty when ``m = -1``."""
@@ -394,10 +383,12 @@ def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor:
     return row
 
 
-def _child_row(kids: list[_Flag], values: list, length: int) -> list:
-    """The t-degrees below ``length`` of ``sum_f value_f (1/omega_f) e^(t/omega_f)``."""
-    live = [(a, f.series) for f, a in zip(kids, values) if a]
-    return [_dot([(1, [(a, series[s]) for a, series in live])]) for s in range(length)]
+def _child_row(kids: list[_Flag], subtrees: list, length: int) -> list:
+    """The t-degrees below ``length`` of ``sum_f M_f edge_f (1/omega_f)
+    e^(t/omega_f)`` over the kids ``f`` and their subtree sums ``M_f``, each
+    term ``M_f`` times an entry of the kid series ``f.weighted``."""
+    live = [(m, f.weighted) for f, m in zip(kids, subtrees) if m]
+    return [_dot([(1, [(m, weighted[s]) for m, weighted in live])]) for s in range(length)]
 
 
 def _recursion_pass(
@@ -433,8 +424,11 @@ def _recursion_pass(
         return results
     for here in flags.values():
         for f in here:
-            f.weight, f.edge, series, nodes = zip(*(flag[f.index] for _, flag in per_point))
-            f.series, f.nodes = list(zip(*series)), tuple(zip(*nodes))
+            f.weight, f.edge, series, weighted, nodes = zip(
+                *(flag[f.index] for _, flag in per_point)
+            )
+            f.series, f.weighted = list(zip(*series)), list(zip(*weighted))
+            f.nodes = tuple(zip(*nodes))
     ones = ((1, 1),) * len(live)
     labels = sorted(flags)
     placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
@@ -460,7 +454,7 @@ def _recursion_pass(
     # The rows at each label by order N, polynomials in t: ``t Y_(c,N)`` in
     # each channel, with ``Y_0 = X``, and ``t^N Lambda_N``; all vanish at
     # order 0.  A root keeps ``E`` times its graph sum at every order: the
-    # children's ``sum_f e_f M_f`` plus ``[t^-2] (Y_c Lambda)_N``.
+    # children's ``sum_f M_f edge_f`` plus ``[t^-2] (Y_c Lambda)_N``.
     rows = {label: [[[]] for _ in marks] for label in flags}
     logs = {label: [[]] for label in flags}
     roots = {placement: [0] * (top + 1) for placement in placements}
@@ -469,14 +463,11 @@ def _recursion_pass(
             if order > tops[label]:
                 continue
             kids = [f for f in here if f.cost <= order]
-            # A child subtree whose sum is zero adds nothing, so it is not multiplied.
-            values = [
-                [_times(f.edge, m) if (m := channel[f.far][order - f.cost]) else 0 for f in kids]
-                for channel in sums
-            ]
+            # The sums of the subtrees below the kids, in each channel.
+            subtrees = [[channel[f.far][order - f.cost] for f in kids] for channel in sums]
             row, log = rows[label], logs[label]
-            for y, value in zip(row, values):
-                y.append(_child_row(kids, value, top - order))
+            for y, m in zip(row, subtrees):
+                y.append(_child_row(kids, m, top - order))
             # N Lambda_N = N X_N + sum_k k Lambda_k X_(N-k), as the row
             # t^N Lambda_N, in which the row t X_N is raised by N - 1 t-degrees.
             x = row[0]
@@ -498,14 +489,16 @@ def _recursion_pass(
             ]
             for c, mark in enumerate(marks[1:], 1):
                 if (label, mark) in roots:
-                    ends = values[c] + below[c][-1:]
-                    roots[label, mark][order] = _dot([(1, [(v, ones) for v in ends])])
+                    roots[label, mark][order] = _dot([
+                        (1, zip(subtrees[c], [f.edge for f in kids])),
+                        (1, [(v, ones) for v in below[c][-1:]]),
+                    ])
             for parent in here:
                 if order + parent.cost > top:
                     break
                 for c, mark in enumerate(marks):
                     # The kids are a prefix of the parent's nodes.
-                    groups = [(1, zip(values[c], parent.nodes))]
+                    groups = [(1, zip(subtrees[c], parent.nodes))]
                     groups.append(_coefficient(1, below[c], parent.series, order - 2))
                     if label == mark:
                         groups.append(_coefficient(1, log[order], parent.series, order - 1))
@@ -624,10 +617,11 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     not depend on the point and are built once; each value is a tuple with
     one exact reduced integer :data:`Pair` or int 0 per point, or the int 0
     where it vanishes at every point, never a ``Fraction``.  The pass does
-    arithmetic in four places only: the per-point sums of products of
-    :func:`_dot`, the child values of :func:`_times`, the leaf seeds, and
-    one ``Fraction`` per point, placement and degree, the root's value over
-    its ``E``.  :func:`graph_contribution` over
+    arithmetic in three places only: the point's values of
+    :func:`_point_values`, which fold each edge share into its flag's kid
+    series and node factors, the per-point sums of products of
+    :func:`_dot`, and one ``Fraction`` per point, placement and degree, the
+    root's value over its ``E``.  :func:`graph_contribution` over
     :func:`~hilb3.graphs.enumerate_graphs` gives the same value one graph at
     a time.
 

@@ -221,6 +221,30 @@ def test_the_graph_degree_bound_is_for_graphs_alone(capsys, monkeypatch, argv, h
     assert (code, out) == (0, f"d = {cli.MAX_GRAPH_DEGREE + 1}\n")
 
 
+class _Reached(Exception):
+    """Raised where a command would start computing."""
+
+
+def _never_compute(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["graphsum", "--family", "pair", "--i", "0", "--j", "1"], ["invariant", "--points", "2"]],
+    ids=["graphsum", "invariant"],
+)
+def test_degree_past_the_bound_is_usage_error_before_any_pass(capsys, monkeypatch, argv):
+    for name in ("two_point_pairing", "graph_sum", "sample_specializations"):
+        monkeypatch.setattr(cli, name, _never_compute)
+    code, err = _usage_error(capsys, *argv, "--d", str(cli.MAX_DEGREE + 1))
+    assert cli.MAX_DEGREE == 40
+    assert code == 2
+    assert err.endswith(f"hilb3 {argv[0]}: error: --d must be at most 40\n")
+    with pytest.raises(_Reached):
+        main([*argv, "--d", str(cli.MAX_DEGREE)])
+
+
 def test_graphsum_degree_zero_is_usage_error(capsys):
     code, err = _usage_error(
         capsys, "graphsum", "--family", "pair", "--i", "0", "--j", "1", "--d", "0"

@@ -569,6 +569,35 @@ def test_recursion_matches_the_oracle_where_denominators_are_composite_and_share
             assert value == _enumerated_sum(family, d, point), (family.name, d)
 
 
+def test_point_values_fold_each_edge_share_into_its_kid_series_and_node_factors():
+    # Each flag's series is kept only for the t-degrees the pass reads, its
+    # kid series is the series times the edge share, and each node factor
+    # carries the share of the flag hanging below the node, all as reduced
+    # pairs at a point whose denominators are composite and shared.
+    top, point = 3, Specialization(Fraction(-6, 35), Fraction(10, 21))
+    curves = punctual_family(0, 0, 1).curves
+    flags = localization._layout(curves, top)
+    _, values = localization._point_values(curves, top, flags, point)
+
+    def exact(pair):
+        num, den = pair
+        assert den > 0 and gcd(num, den) == 1, pair
+        return Fraction(num, den)
+
+    for here in flags.values():
+        for f in here:
+            weight, edge, series, weighted, nodes = values[f.index]
+            omega, share = exact(weight), exact(edge)
+            assert len(series) == len(weighted) == top - f.cost
+            for s, (term, kid) in enumerate(zip(series, weighted)):
+                assert exact(term) == 1 / (omega ** (s + 1) * factorial(s))
+                assert exact(kid) == share * exact(term)
+            assert len(nodes) == f.width
+            for node, g in zip(nodes, here):
+                other, below = values[g.index][:2]
+                assert exact(node) == exact(below) / (omega + exact(other))
+
+
 def _fraction_dot(groups, divisor=1):
     """The sum of ``k * x * y / divisor`` in plain Fraction arithmetic, one reduction per step."""
     total = sum((k * Fraction(x) * y for k, pairs in groups for x, y in pairs), Fraction(0))
