@@ -34,12 +34,13 @@ from .invariants import (
     ConsistencyError,
     IdentityCheck,
     RECORDED_TOP_DEGREE,
+    _draw,
     reproduce,
     two_point_pairing,
     verify_identities,
 )
-from .localization import forbidden_weights, graph_sum
-from .scalars import format_rational, sample_specializations
+from .localization import graph_sum
+from .scalars import format_rational
 
 SCHEMA = "1"
 
@@ -48,9 +49,10 @@ SCHEMA = "1"
 # 1012 distinct draws at seed 0, far inside its budget of 10 000.
 MAX_POINTS = 1000
 
-# The highest degree ``invariant`` and ``graphsum`` compute.  Two points at
-# the headline degree 37 took 56.8 s (``BENCH_18.json``) and the cost grows
-# about as d^3.3, so a run at the bound ends in minutes.
+# The highest degree ``invariant`` and ``graphsum`` compute.  A pass's time
+# grows about as d^3.3 and its memory with it, so the bound keeps a run at
+# any accepted degree to minutes rather than hours; it stays near the
+# headline degree, the largest that two points reach within 60 s.
 MAX_DEGREE = 40
 
 # The highest degree ``graphs`` enumerates.  The graph count grows about
@@ -155,7 +157,7 @@ def _cmd_graphs(args: argparse.Namespace) -> Output:
 
 
 def _cmd_graphsum(args: argparse.Namespace) -> Output:
-    point = sample_specializations(1, seed=args.seed, forbidden=forbidden_weights(args.d))[0]
+    point = _draw(1, args.d, args.seed)[0]
     value = format_rational(graph_sum(args.family, args.d, point))
     w, z = point.as_strings()
     payload = {

@@ -90,9 +90,6 @@ class FockVector:
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1) * other
 
-    def __neg__(self) -> "FockVector":
-        return (-1) * self
-
     def __rmul__(self, scalar) -> "FockVector":
         scalar = Fraction(scalar)
         return FockVector((m, scalar * c) for m, c in self._coeffs.items())
@@ -104,9 +101,6 @@ class FockVector:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -276,8 +270,7 @@ def dual_basis(degree: int) -> tuple[FockVector, ...]:
 def one_point(mono: Monomial, d: int) -> Fraction:
     """One-point count of the dual of a middle-degree basis monomial."""
     positive_degree(d)
-    members = {v.items()[0][0] for v in basis(4)}
-    if mono not in members:
+    if mono not in _basis_monomials(4):
         raise ValueError("monomial is not a middle-degree basis element")
     if mono == monomial((2, LINE), (1, POINT)):
         return 2 * CANONICAL_DOT_LINE / d**2
@@ -330,8 +323,8 @@ def three_point_table(
     for i in range(5):
         for j in range(i, 5):
             for k in range(j, 5):
-                key = (eights[i], eights[j], eights[k])
-                table[key] = _three_point_value((i, j, k), d, f)
+                case = _THREE_POINT_CASES.get((i, j, k))
+                table[eights[i], eights[j], eights[k]] = case(d, f) if case else Fraction(0)
     return table
 
 
@@ -343,11 +336,6 @@ _THREE_POINT_CASES = {
     (0, 0, 2): lambda d, f: -2 * Fraction(f[d - 1]),
     (1, 1, 2): lambda d, f: Fraction(-24),
 }
-
-
-def _three_point_value(idx: tuple[int, int, int], d: int, f: Sequence[Rational]) -> Fraction:
-    case = _THREE_POINT_CASES.get(idx)
-    return case(d, f) if case else Fraction(0)
 
 
 def wdvv_consistency(d: int, f: Sequence[Rational]) -> bool:

@@ -199,8 +199,6 @@ def _items(family: Family, label: FixedPoint, cost: int) -> tuple:
 
 def _child_multisets(family: Family, label: FixedPoint, budget: int, bound) -> tuple:
     """Non-increasing tuples of unmarked child items with total cost ``budget``."""
-    if budget < 0:
-        return ()
     if budget == 0:
         return ((),)
     results = []

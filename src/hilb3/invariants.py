@@ -37,7 +37,7 @@ from .fock import (
 )
 from .geometry import (CHART_PAIRS, CHARTS, STRATUM_PAIRS, FixedPoint, hyperplane_weight,
                        pair_weights, taut_c1, torus_weights)
-from .graphs import Family, pair_family, punctual_family
+from .graphs import Family, all_pair_families, all_punctual_families, pair_family, punctual_family
 from .localization import forbidden_weights, graph_sum, in_batches
 from .scalars import (
     Rational,
@@ -103,8 +103,7 @@ def _two_point_terms(spec: Specialization) -> list[tuple[Rational, Family]]:
     :func:`two_point_pairing` runs the passes of exactly these families, so
     the chart-0 triangle, whose mark factors vanish, runs none.
     """
-    families = [pair_family(i, j) for i, j in CHART_PAIRS]
-    terms = [(_mark_factor(*family.mark_labels, spec), family) for family in families]
+    terms = [(_mark_factor(*family.mark_labels, spec), family) for family in all_pair_families()]
     for i in CHARTS:
         terms += _punctual_terms(i, spec)
     return terms
@@ -132,8 +131,7 @@ def _draw(count: int, d: int, seed: int) -> list[Specialization]:
 def _every_system(point: Specialization) -> list[tuple]:
     """All nine curve systems, at any point: the six pair curves and the
     three punctual triangles."""
-    families = [pair_family(i, j) for i, j in CHART_PAIRS]
-    families += [punctual_family(i, *STRATUM_PAIRS[0]) for i in CHARTS]
+    families = [*all_pair_families(), *(all_punctual_families(i)[0] for i in CHARTS)]
     return [family.curves for family in families]
 
 
@@ -392,10 +390,6 @@ _FROZEN_INVARIANTS = {
 }
 
 
-# The points at which reproduce checks the closed forms.
-_REPRODUCE_SPECS = 5
-
-
 def reproduce(seed: int = 0) -> list[IdentityCheck]:
     """Recompute every recorded number and check it against its record.
 
@@ -412,7 +406,7 @@ def reproduce(seed: int = 0) -> list[IdentityCheck]:
     # verify's degree-4 passes, one per curve system at each of its points,
     # the first three of which are the pairings', serve every pairing; its
     # checks are reported after the pairings'.
-    identities = verify_identities(num_specs=_REPRODUCE_SPECS, seed=seed)
+    identities = verify_identities(seed=seed)
     # Top degree first, so a point that a lower degree shares with a higher
     # one reuses its pass.
     outcomes: dict[int, InvariantResult | ConsistencyError] = {}

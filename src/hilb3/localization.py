@@ -383,14 +383,6 @@ def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor:
     return row
 
 
-def _child_row(kids: list[_Flag], subtrees: list, length: int) -> list:
-    """The t-degrees below ``length`` of ``sum_f M_f edge_f (1/omega_f)
-    e^(t/omega_f)`` over the kids ``f`` and their subtree sums ``M_f``, each
-    term ``M_f`` times an entry of the kid series ``f.weighted``."""
-    live = [(m, f.weighted) for f, m in zip(kids, subtrees) if m]
-    return [_dot([(1, [(m, weighted[s]) for m, weighted in live])]) for s in range(length)]
-
-
 def _recursion_pass(
     curves: tuple[Curve, ...], top: int, points: Sequence[Specialization]
 ) -> dict[Specialization, dict | DegenerateSpecializationError]:
@@ -466,8 +458,14 @@ def _recursion_pass(
             # The sums of the subtrees below the kids, in each channel.
             subtrees = [[channel[f.far][order - f.cost] for f in kids] for channel in sums]
             row, log = rows[label], logs[label]
+            # sum_f M_f edge_f (1/omega_f) e^(t/omega_f) over the kids f and
+            # their subtree sums M_f: each kid series f.weighted times the
+            # one-term series M_f, which keeps every slice one entry long.
             for y, m in zip(row, subtrees):
-                y.append(_child_row(kids, m, top - order))
+                y.append(_product_row(
+                    [(1, f.weighted, [mf], 0) for f, mf in zip(kids, m) if mf],
+                    top - order,
+                ))
             # N Lambda_N = N X_N + sum_k k Lambda_k X_(N-k), as the row
             # t^N Lambda_N, in which the row t X_N is raised by N - 1 t-degrees.
             x = row[0]
@@ -491,7 +489,7 @@ def _recursion_pass(
                 if (label, mark) in roots:
                     roots[label, mark][order] = _dot([
                         (1, zip(subtrees[c], [f.edge for f in kids])),
-                        (1, [(v, ones) for v in below[c][-1:]]),
+                        _coefficient(1, below[c], [ones], order - 2),
                     ])
             for parent in here:
                 if order + parent.cost > top:

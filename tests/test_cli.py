@@ -173,6 +173,8 @@ def _usage_error(capsys, *argv):
         (["invariant", "--d", "0"], "--d must be a positive integer"),
         (["graphs", "--family", "pair", "--i", "0", "--j", "0", "--d", "1"],
          "no pair curve for charts (0,0)"),
+        (["graphsum", "--family", "punctual", "--i", "0", "--j", "1", "--d", "1"],
+         "punctual family needs --i (chart) and --j --k (strata)"),
     ],
 )
 def test_usage_errors_of_the_cli_checks_name_the_subcommand(capsys, argv, message):
@@ -235,7 +237,7 @@ def _never_compute(*args, **kwargs):
     ids=["graphsum", "invariant"],
 )
 def test_degree_past_the_bound_is_usage_error_before_any_pass(capsys, monkeypatch, argv):
-    for name in ("two_point_pairing", "graph_sum", "sample_specializations"):
+    for name in ("two_point_pairing", "graph_sum", "_draw"):
         monkeypatch.setattr(cli, name, _never_compute)
     code, err = _usage_error(capsys, *argv, "--d", str(cli.MAX_DEGREE + 1))
     assert cli.MAX_DEGREE == 40
@@ -487,3 +489,30 @@ def test_varying_totals_are_printed_exactly_with_their_points(capsys, monkeypatc
     assert len(evaluated) == 2
     first, second = (point.as_strings() for point in evaluated)
     assert f"83/2 at w={first[0]}, z={first[1]}; 85/2 at w={second[0]}, z={second[1]}" in text
+
+
+def test_a_pairing_that_varies_fails_reproduce_and_exits_one(capsys, monkeypatch):
+    # Degree 2's pairing raises, so its two pins and every check that reads
+    # all four pairings are left out: 55 records become 39, and only the
+    # degree-2 record fails.
+    real_total = invariants.two_point_total
+    evaluated = []
+
+    def varying_at_degree_2(d, point):
+        if d != 2:
+            return real_total(d, point)
+        evaluated.append(point)
+        return Fraction(len(evaluated))
+
+    monkeypatch.setattr(invariants, "two_point_total", varying_at_degree_2)
+    checks = invariants.reproduce()
+    assert len(checks) == 39
+    failing = [c for c in checks if not c.passed]
+    assert [c.name for c in failing] == ["degree 2 invariant computes"]
+    assert failing[0].detail.startswith(
+        "two-point total varies across specializations in degree 2: "
+    )
+    code, out = run_cli(capsys, "reproduce")
+    assert code == 1
+    assert "FAIL degree 2 invariant computes (two-point total varies" in out
+    assert out.endswith("38/39 checks passed\n")

@@ -62,6 +62,19 @@ def test_monomial_rejects_wrong_total():
         monomial((2, POINT), (2, POINT))
 
 
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        ((0, POINT), "operator size must be positive"),
+        ((1, "curve"), "unknown surface class 'curve'"),
+    ],
+    ids=["size", "class"],
+)
+def test_monomial_rejects_a_bad_factor(factor, message):
+    with pytest.raises(ValueError, match=message):
+        monomial(factor, (2, POINT))
+
+
 def test_monomial_formatting():
     mono = monomial((2, LINE), (1, POINT))
     assert format_monomial(mono) == "a_{-2}(ell)a_{-1}(pt)"
@@ -77,6 +90,15 @@ def test_vector_arithmetic():
     assert combo.coefficient(monomial((2, POINT), (1, LINE))) == -1
     assert combo - combo == FockVector({})
     assert not (a - a)
+
+
+def test_vector_strings_print_exact_coefficients():
+    a = vector(monomial((3, POINT),))
+    b = vector(monomial((2, POINT), (1, LINE)))
+    assert str(FockVector()) == "0"
+    assert str(b - a) == "a_{-2}(pt)a_{-1}(ell) - a_{-3}(pt)"
+    assert str(Fraction(1, 2) * a - 3 * b) == "-3 a_{-2}(pt)a_{-1}(ell) + 1/2 a_{-3}(pt)"
+    assert repr(a - b) == "FockVector(-a_{-2}(pt)a_{-1}(ell) + a_{-3}(pt))"
 
 
 def test_pairing_is_symmetric_and_sparse():
@@ -259,6 +281,12 @@ def test_composition_law_rejects_nonpositive_degree(d, f):
         wdvv_consistency(d, f)
     with pytest.raises(ValueError, match="degree must be positive"):
         _case_iv(d, f)
+
+
+@pytest.mark.parametrize("table", [three_point_table, wdvv_consistency])
+def test_tables_need_an_f_value_for_every_degree(table):
+    with pytest.raises(ValueError, match="need f values for every degree up to 3"):
+        table(3, SCALED[:2])
 
 
 def test_divisor_expansions_pair_correctly():

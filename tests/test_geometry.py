@@ -248,3 +248,18 @@ def test_geometry_is_pinned():
     ]
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == "1c1afab7e6d131f6a55beee6799ba0320958aa3a232b825c89430e6277d5a7f6"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FixedPoint.punctual(0, 3), "stratum must be 0, 1 or 2, got 3"),
+        (lambda: FixedPoint.pair(1, 1, 1), "pair points need two distinct charts"),
+        (lambda: FixedPoint.pair(0, 1, 3), "local must be 1 or 2, got 3"),
+        (lambda: taut_c1(FixedPoint.punctual(0, 0), 2), "twist must be 0 or 1, got 2"),
+    ],
+    ids=["stratum", "same-charts", "local", "twist"],
+)
+def test_point_and_bundle_arguments_outside_their_range_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

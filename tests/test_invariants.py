@@ -181,6 +181,30 @@ def test_closed_forms_refuse_charts_that_name_no_family(closed, args, message):
         closed(*args, POINT_13)
 
 
+CLOSED_DEGREES = "closed form known only for degrees 1 through 4"
+RECURSED_DEGREES = "recursed form known only for degrees 2 through 4"
+
+
+@pytest.mark.parametrize(
+    "closed, args, message",
+    [
+        (invariants._punctual_01_closed, (5, 1, 3), CLOSED_DEGREES),
+        (invariants._punctual_01_recursed, (1, 1, 3), RECURSED_DEGREES),
+        (invariants._punctual_12_closed, (5, 1, 3), CLOSED_DEGREES),
+        (invariants._mark_factor_closed, (0, 0, 0, POINT_13),
+         "stratum pair must be (0,1), (0,2) or (1,2)"),
+        (family_term_closed, (5, 0, POINT_13), CLOSED_DEGREES),
+        (invariants.family_term_recursed, (1, 0, POINT_13), RECURSED_DEGREES),
+        (verify_identities, (5,), "closed forms cover degrees 1 through 4 only"),
+    ],
+    ids=["punctual-01", "punctual-01-recursed", "punctual-12", "mark-factor", "family-term",
+         "family-term-recursed", "verify"],
+)
+def test_closed_forms_refuse_degrees_and_strata_they_do_not_cover(closed, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        closed(*args)
+
+
 def test_identity_suite_all_pass():
     checks = verify_identities(d_max=4, num_specs=5, seed=0)
     assert len(checks) == 27
@@ -193,6 +217,31 @@ def test_identity_suite_needs_a_specialization(num_specs):
     # Zero points would make every record pass after no comparison at all.
     with pytest.raises(ValueError, match="at least one specialization"):
         verify_identities(d_max=4, num_specs=num_specs)
+
+
+def test_identity_suite_reports_a_wrong_display(monkeypatch):
+    # With the degree-3 family cubic off by one, only that record fails, at
+    # the first chart whose term does not vanish: chart 0's hyperplane
+    # weight is 0, so its term is 0 on both sides.
+    monkeypatch.setitem(invariants._FAMILY_CUBIC, 3, 22)
+    checks = verify_identities(3, 2, seed=0)
+    assert len(checks) == 20
+    failing = [c for c in checks if not c.passed]
+    assert [c.name for c in failing] == ["punctual family term, degree 3"]
+    detail = failing[0].detail
+    assert detail.startswith("i=1 at w=-41/3, z=-23/41: ")
+    engine, display = detail.split(": ")[1].split(" != ")
+    assert Fraction(engine) != Fraction(display)
+
+
+def test_reproduce_reports_a_singular_gram_matrix(monkeypatch):
+    def singular(rows):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(invariants, "invert_matrix", singular)
+    checks = {c.name: c.passed for c in invariants.reproduce()}
+    assert checks.pop("all complementary Gram matrices are nonsingular") is False
+    assert all(checks.values())
 
 
 def test_identity_suite_seed_independent():

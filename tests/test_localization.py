@@ -129,6 +129,20 @@ def test_psi_vertex_rejects_too_few_points():
         psi_vertex_integral([Fraction(1)], 2)
 
 
+@pytest.mark.parametrize(
+    "weights, points, error, message",
+    [
+        ([], 3, ValueError, "flag count must be between 1 and the point count"),
+        ([Fraction(1)] * 4, 3, ValueError, "flag count must be between 1 and the point count"),
+        ([Fraction(1), Fraction(0)], 3, DegenerateSpecializationError, "vanishing flag weight"),
+    ],
+    ids=["no-flag", "more-flags-than-points", "zero-weight"],
+)
+def test_psi_vertex_refuses_flags_it_cannot_integrate(weights, points, error, message):
+    with pytest.raises(error, match=message):
+        psi_vertex_integral(weights, points)
+
+
 def test_pochhammer_values():
     assert pochhammer(Fraction(3), 0) == 1
     assert pochhammer(Fraction(3), 2) == 12

@@ -365,3 +365,10 @@ def test_vanishing_weight_names_itself_and_the_point():
     with pytest.raises(DegenerateSpecializationError) as caught:
         char.euler(point)
     assert str(caught.value) == "weight 1/2*w + -1/2*z vanishes at w=-6/35, z=-6/35"
+
+
+def test_a_character_equals_no_other_type():
+    # VirtualCharacter.__eq__ leaves any other type to Python, which then
+    # compares identities.
+    assert (VirtualCharacter() == 1) is False
+    assert VirtualCharacter() != 0
