@@ -214,24 +214,29 @@ def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
 class _Flag:
     """One end of a degree-``degree`` cover of a family curve.
 
-    Flags are numbered; ``far`` is the number of the flag at the other end
-    of the same edge, ``cost`` its beta-weighted degree and ``width`` the
-    number of flags at the same label, cheapest first, that fit with this
-    one in the pass's degree.  These do not depend on the point.  A pass
-    over a batch of points sets the rest, each a tuple with one
-    :data:`Pair` per point: ``weight`` is the flag weight omega, ``edge``
-    the edge's share ``E/(degree * edge_euler)`` of the graph weight, with
-    the label's tangent Euler factor ``E``, ``series[s]`` the coefficient
-    ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)`` and ``weighted[s]``
-    the kid series ``edge * series[s]``, both for the t-degrees ``s < top
-    - cost`` that the pass reads, and ``nodes[m]`` the factor ``edge_f /
-    (omega + omega_f)`` for the ``m``-th flag ``f`` at the label, with the
-    share ``edge_f`` of the flag ``f`` that hangs below the node.
+    Flags are numbered; the flag sits at ``curve.endpoints[end]``, ``far``
+    is the number of the flag at the other end of the same edge, ``cost``
+    its beta-weighted degree and ``width`` the number of flags at the same
+    label, cheapest first, that fit with this one in the pass's degree.
+    These do not depend on the point.  A pass over a batch of points sets
+    the rest, each a tuple with one :data:`Pair` per point: ``weight`` is
+    the flag weight omega, ``edge`` the edge's share ``E/(degree *
+    edge_euler)`` of the graph weight, with the label's tangent Euler factor
+    ``E``, ``series[s]`` the coefficient ``omega^-(s+1) / s!`` of
+    ``(1/omega) e^(t/omega)`` and ``weighted[s]`` the kid series ``edge *
+    series[s]``, both for the t-degrees ``s < top - cost`` that the pass
+    reads, and ``nodes[m]`` the factor ``edge_f / (omega + omega_f)`` for
+    the ``m``-th flag ``f`` at the label, with the share ``edge_f`` of the
+    flag ``f`` that hangs below the node.  :func:`_point_values` builds each
+    of these values once, through :func:`_reduced`, from integer parts.
     """
 
     index: int
     far: int
     cost: int
+    curve: Curve
+    degree: int
+    end: int
     width: int = 0
     weight: tuple = ()
     edge: tuple = ()
@@ -255,7 +260,7 @@ def _layout(curves: tuple[Curve, ...], top: int) -> dict[FixedPoint, list[_Flag]
         for degree in range(1, top // curve.beta + 1):
             for end, label in enumerate(curve.endpoints):
                 flags.setdefault(label, []).append(
-                    _Flag(count + end, count + 1 - end, curve.beta * degree)
+                    _Flag(count + end, count + 1 - end, curve.beta * degree, curve, degree, end)
                 )
             count += 2
     for here in flags.values():
@@ -266,66 +271,42 @@ def _layout(curves: tuple[Curve, ...], top: int) -> dict[FixedPoint, list[_Flag]
 
 
 def _point_values(
-    curves: tuple[Curve, ...], top: int, flags: dict[FixedPoint, list[_Flag]],
-    point: Specialization,
-) -> tuple[dict[FixedPoint, Pair], list[list]]:
-    """Every value of a pass that depends on the point, as reduced pairs:
-    each label's tangent Euler factor ``E``, and each flag's ``[weight,
-    edge, series, weighted, nodes]`` by its number (see :class:`_Flag`).
+    top: int, flags: dict[FixedPoint, list[_Flag]], point: Specialization
+) -> tuple[dict[FixedPoint, Pair], dict[int, list]]:
+    """Every value of a pass that depends on the point: each label's tangent
+    Euler factor ``E``, and each flag's ``[weight, edge, series, weighted,
+    nodes]`` by its number (see :class:`_Flag`).
 
-    These invert every form a pass inverts, so a pass at ``point`` raises
-    here or nowhere.
+    Each value is built once, by :func:`_reduced` from integer parts: the
+    flag weight from its tangent's, the edge share from ``E`` and the edge's
+    :func:`edge_euler`, and each series, kid series and node entry from
+    those pairs' parts and running integer powers.  These invert every form
+    a pass inverts, so a pass at ``point`` raises here or nowhere.
     """
-    euler = {}
-    for label in flags:
+    euler, values = {}, {}
+    for label, here in flags.items():
         value = tangent_euler(label, point)
-        euler[label] = (value.numerator, value.denominator)
-    values: list[list] = []
-    for curve in curves:
-        for degree in range(1, top // curve.beta + 1):
-            factor = edge_euler(curve, degree, point)
-            # Each end's tangent weight, once per curve.  The degree-1 edge
-            # factor holds both, so a vanishing one is named by that factor.
-            if degree == 1:
-                ends = [
-                    (label, invertible(num, "flag weight", point), den)
-                    for label, (num, den) in zip(
-                        curve.endpoints, (_parts(t, point) for t in curve.tangents)
-                    )
-                ]
-            for label, num, den in ends:
-                # omega = num/(den*degree) = wn/wd.  Its inverse a/b is
-                # reduced, so omega^-(s+1)/s! = a^(s+1)/(b^(s+1) s!) needs a
-                # gcd with s! only, and the powers are kept running.
-                wn, wd = _reduced(num, den * degree)
-                a, b = (wd, wn) if wn > 0 else (-wd, -wn)
-                e_num, e_den = euler[label]
-                edge = _reduced(e_num * factor.denominator, e_den * degree * factor.numerator)
-                series, weighted, power_a, power_b, fact = [], [], a, b, 1
-                for s in range(top - curve.beta * degree):
-                    fact *= s or 1
-                    g = math.gcd(power_a, fact)
-                    term = (power_a // g, power_b * (fact // g))
-                    series.append(term)
-                    weighted.append(_reduced(edge[0] * term[0], edge[1] * term[1]))
-                    power_a *= a
-                    power_b *= b
-                values.append([(wn, wd), edge, series, weighted])
-    for here in flags.values():
+        e_num, e_den = euler[label] = (value.numerator, value.denominator)
         for p in here:
-            omega = values[p.index][0]
-            values[p.index].append(
-                [_node(omega, *values[f.index][:2], point) for f in here[:p.width]]
-            )
+            factor = edge_euler(p.curve, p.degree, point)
+            num, den = _parts(p.curve.tangents[p.end], point)
+            wn, wd = omega = _reduced(invertible(num, "flag weight", point), den * p.degree)
+            edge = _reduced(e_num * factor.denominator, e_den * p.degree * factor.numerator)
+            series, weighted, power_a, power_b, fact = [], [], 1, 1, 1
+            for s in range(top - p.cost):
+                power_a, power_b, fact = power_a * wd, power_b * wn, fact * (s or 1)
+                term = _reduced(power_a, power_b * fact)
+                series.append(term)
+                weighted.append(_reduced(edge[0] * term[0], edge[1] * term[1]))
+            values[p.index] = [omega, edge, series, weighted]
+        for p in here:
+            (wn, wd), nodes = values[p.index][0], []
+            for f in here[:p.width]:
+                (fn, fd), (en, ed) = values[f.index][:2]
+                num = invertible(wn * fd + fn * wd, "node smoothing weight", point)
+                nodes.append(_reduced(en * wd * fd, ed * num))
+            values[p.index].append(nodes)
     return euler, values
-
-
-def _node(omega: Pair, other: Pair, edge: Pair, point: Specialization) -> Pair:
-    """The node factor ``edge/(omega + other)``, reduced once: ``edge`` is the
-    share of the flag of weight ``other``, which hangs below the node."""
-    num = omega[0] * other[1] + other[0] * omega[1]
-    invertible(num, "node smoothing weight", point)
-    return _reduced(edge[0] * omega[1] * other[1], edge[1] * num)
 
 
 def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> tuple | int:
@@ -407,7 +388,7 @@ def _recursion_pass(
     live, per_point = [], []
     for point in points:
         try:
-            per_point.append(_point_values(curves, top, flags, point))
+            per_point.append(_point_values(top, flags, point))
         except DegenerateSpecializationError as error:
             results[point] = error
         else:
@@ -614,12 +595,13 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     A pass runs over a batch of points.  Its flags, rows and term lists do
     not depend on the point and are built once; each value is a tuple with
     one exact reduced integer :data:`Pair` or int 0 per point, or the int 0
-    where it vanishes at every point, never a ``Fraction``.  The pass does
-    arithmetic in three places only: the point's values of
-    :func:`_point_values`, which fold each edge share into its flag's kid
-    series and node factors, the per-point sums of products of
-    :func:`_dot`, and one ``Fraction`` per point, placement and degree, the
-    root's value over its ``E``.  :func:`graph_contribution` over
+    where it vanishes at every point, never a ``Fraction``.  Two functions
+    build every value of a pass: :func:`_reduced`, which makes each of the
+    point's values in :func:`_point_values` once from integer parts, with
+    each edge share folded into its flag's kid series and node factors, and
+    :func:`_dot`, the per-point sums of products.  Beside them there are only
+    the unit pairs ``ones`` and one ``Fraction`` per point, placement and
+    degree, the root's value over its ``E``.  :func:`graph_contribution` over
     :func:`~hilb3.graphs.enumerate_graphs` gives the same value one graph at
     a time.
 

@@ -584,14 +584,24 @@ def test_recursion_matches_the_oracle_where_denominators_are_composite_and_share
 
 
 def test_point_values_fold_each_edge_share_into_its_kid_series_and_node_factors():
-    # Each flag's series is kept only for the t-degrees the pass reads, its
-    # kid series is the series times the edge share, and each node factor
+    # Each flag is one end of one cover: its far flag is the other end of
+    # the same curve and degree, and it sits at its end's label.  Each
+    # flag's series is kept only for the t-degrees the pass reads, its kid
+    # series is the series times the edge share, and each node factor
     # carries the share of the flag hanging below the node, all as reduced
     # pairs at a point whose denominators are composite and shared.
     top, point = 3, Specialization(Fraction(-6, 35), Fraction(10, 21))
     curves = punctual_family(0, 0, 1).curves
     flags = localization._layout(curves, top)
-    _, values = localization._point_values(curves, top, flags, point)
+    _, values = localization._point_values(top, flags, point)
+    numbered = {f.index: f for here in flags.values() for f in here}
+    assert sorted(numbered) == list(range(len(numbered)))
+    for label, here in flags.items():
+        for f in here:
+            far = numbered[f.far]
+            assert (far.curve, far.degree, far.end, far.far) == (f.curve, f.degree, 1 - f.end, f.index)
+            assert f.cost == f.curve.beta * f.degree
+            assert f.curve.endpoints[f.end] == label
 
     def exact(pair):
         num, den = pair
@@ -610,6 +620,49 @@ def test_point_values_fold_each_edge_share_into_its_kid_series_and_node_factors(
             for node, g in zip(nodes, here):
                 other, below = values[g.index][:2]
                 assert exact(node) == exact(below) / (omega + exact(other))
+
+
+_PRIME = 2 ** 61 - 1
+
+
+def _residue(num, den=1):
+    """``num/den`` mod :data:`_PRIME`."""
+    return num * pow(den, -1, _PRIME) % _PRIME
+
+
+def _residue_dot(groups, divisor=1):
+    """:func:`localization._dot` over residues: each value is ``(r, 1)``."""
+    terms = [(k, xs, ys) for k, pairs in groups for xs, ys in pairs if xs and ys]
+    if not terms:
+        return 0
+    sums = tuple(
+        _residue(sum(k * xs[i][0] * ys[i][0] for k, xs, ys in terms if xs[i] and ys[i]), divisor)
+        for i in range(len(terms[0][1]))
+    )
+    sums = tuple((r, 1) if r else 0 for r in sums)
+    return sums if any(sums) else 0
+
+
+def test_every_pass_value_is_built_by_reduced_or_dot(monkeypatch):
+    # With _reduced and _dot computing residues mod a prime, every graph sum
+    # of the pass, over nine curve systems, two points and degrees 1..8,
+    # must be the exact one reduced mod the prime.  A value the pass built
+    # any other way would not be a residue, and the sums it feeds would differ.
+    points = sample_specializations(2, seed=29, forbidden=forbidden_weights(8))
+    systems = sorted({family.curves for family in FAMILIES}, key=repr)
+    exact = {curves: localization._recursion_pass(curves, 8, points) for curves in systems}
+    monkeypatch.setattr(localization, "_reduced", lambda num, den: (_residue(num, den), 1))
+    monkeypatch.setattr(localization, "_dot", _residue_dot)
+    compared = 0
+    for curves in systems:
+        modular = localization._recursion_pass(curves, 8, points)
+        for point in points:
+            for placement, sums in exact[curves][point].items():
+                assert [_residue(v.numerator, v.denominator) for v in modular[point][placement]] == [
+                    _residue(v.numerator, v.denominator) for v in sums
+                ], ([c.name for c in curves], placement)
+                compared += len(sums)
+    assert len(systems) == 9 and compared == 240
 
 
 def _fraction_dot(groups, divisor=1):
