@@ -19,17 +19,19 @@ encoding node carries the order of its rooted subtree, so each shared
 subtree's order is computed once, and a graph's order is read off its root
 node in time linear in the root's children.  Within one ``enumerate_graphs``
 call, equal edge records, equal vertex tuples and equal mark tuples of
-different graphs are one shared object each, and graphs and edges carry no
-per-instance ``__dict__``.  Rooted subtrees below the top degree are
-cached; the top-level encodings are built per call and dropped once the
-graphs are laid out, since the graphs themselves are what
-``enumerate_graphs`` caches.
+different graphs are one shared object each, each child subtree of the
+root is laid out once per vertex offset, and graphs and edges carry no
+per-instance ``__dict__``.  The rooted subtrees below the top degree are
+memoized for one call only: ``enumerate_graphs`` empties that memo when it
+returns, since the graphs themselves are what it caches.  The top-level
+encodings are generated one at a time and dropped once laid out.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -147,18 +149,19 @@ def _other_end(curve: Curve, label: FixedPoint) -> FixedPoint:
     return b if label == a else a
 
 
-def _rooted_trees(family: Family, label: FixedPoint, budget: int, with_mark: bool) -> list:
-    """All canonical rooted subtrees with the given root label and beta budget.
+def _rooted_trees(
+    family: Family, label: FixedPoint, budget: int, with_mark: bool
+) -> Iterator[tuple]:
+    """Yield all canonical rooted subtrees with the given root label and beta budget.
 
-    Uncached: ``enumerate_graphs`` calls it for the top level, whose
-    encodings are needed only until the graphs are laid out.  Every smaller
-    budget is read from ``_subtrees``.
+    Not memoized: ``enumerate_graphs`` draws the top level from it, one
+    encoding at a time, and each is dropped once it is laid out.  Every
+    smaller budget is read from ``_subtrees``.
     """
     mark_label = family.mark_labels[1]
-    results = []
     if with_mark and label == mark_label:
         for children in _child_multisets(family, label, budget, None):
-            results.append(_node(label, True, children))
+            yield _node(label, True, children)
     if with_mark:
         # The second mark goes into exactly one branch.
         for curve in _edges_at(family, label):
@@ -171,16 +174,19 @@ def _rooted_trees(family: Family, label: FixedPoint, budget: int, with_mark: boo
                         rest = budget - spent - branch_budget
                         for children in _child_multisets(family, label, rest, None):
                             merged = tuple(sorted(children + (marked_item,)))
-                            results.append(_node(label, False, merged))
+                            yield _node(label, False, merged)
     else:
         for children in _child_multisets(family, label, budget, None):
-            results.append(_node(label, False, children))
-    return results
+            yield _node(label, False, children)
 
 
 @lru_cache(maxsize=None)
 def _subtrees(family: Family, label: FixedPoint, budget: int, with_mark: bool) -> tuple:
-    """``_rooted_trees``, cached, for the subtrees hanging below a top level."""
+    """``_rooted_trees`` memoized, for the subtrees hanging below a top level.
+
+    The memo holds one ``enumerate_graphs`` call's subtrees and is emptied
+    when that call returns.
+    """
     return tuple(_rooted_trees(family, label, budget, with_mark))
 
 
@@ -211,33 +217,26 @@ def _child_multisets(family: Family, label: FixedPoint, budget: int, bound) -> t
     return tuple(results)
 
 
-def _materialize(
-    encoding: tuple, curves: dict[str, Curve], shared: dict[tuple, object]
-) -> StableGraph:
-    """Lay an encoding out as a graph, vertices in depth-first preorder, and
-    store the root node's symmetry order on it.
+def _lay_out(
+    subtree: tuple, offset: int, curves: dict[str, Curve], shared: dict[tuple, object]
+) -> tuple[tuple, tuple, int]:
+    """Lay a subtree out from vertex ``offset`` in depth-first preorder.
 
-    The layout runs on an explicit stack, so it leaves no reference cycle
-    behind for the cyclic collector.
-
-    ``curves`` maps the family's curve names to curves; ``shared`` holds the
-    edge records, vertex tuples and mark tuples already built in this
-    enumeration, each keyed by its value, so equal ones of different graphs
-    are one object.  The keys cannot collide: an edge is keyed by four
-    fields, a mark tuple is two integers and a vertex tuple holds fixed
-    points only.
+    Returns its labels, the edges inside it and the index of the vertex
+    carrying the second mark, or -1.  The layout runs on an explicit stack,
+    so it leaves no reference cycle behind for the cyclic collector.
     """
-    vertices: list[FixedPoint] = []
+    labels: list[FixedPoint] = []
     edges: list[Edge] = []
     second = -1
+    index = offset
     # Each entry is a subtree still to lay out, with the vertex it hangs
     # from and the curve and degree of the edge to it.  Children are pushed
     # last first, so they are popped, and numbered, in order.
-    stack: list[tuple] = [(-1, "", 0, encoding)]
+    stack: list[tuple] = [(-1, "", 0, subtree)]
     while stack:
         parent, curve_name, degree, (label, marked, children, _) = stack.pop()
-        index = len(vertices)
-        vertices.append(label)
+        labels.append(label)
         if marked:
             second = index
         if parent >= 0:
@@ -246,7 +245,54 @@ def _materialize(
             if edge is None:
                 edge = shared[key] = Edge(parent, index, curves[curve_name], degree)
             edges.append(edge)
-        stack += [(index, name, deg, child) for name, deg, child in reversed(children)]
+        if children:
+            stack += [(index, name, deg, child) for name, deg, child in reversed(children)]
+        index += 1
+    return tuple(labels), tuple(edges), second
+
+
+def _materialize(
+    encoding: tuple,
+    curves: dict[str, Curve],
+    shared: dict[tuple, object],
+    layouts: dict[tuple[int, int], tuple],
+) -> StableGraph:
+    """Lay an encoding out as a graph, vertices in depth-first preorder, and
+    store the root node's symmetry order on it.
+
+    The graph is the root followed by each root child's subtree, laid out
+    from the vertex after the subtrees before it.  ``layouts`` holds those
+    subtree layouts for one enumeration, keyed by ``(id(child), offset)``:
+    the ids are sound keys because every child encoding is held by the
+    ``_subtrees`` memo until the enumeration returns.
+
+    ``curves`` maps the family's curve names to curves; ``shared`` holds the
+    edge records, vertex tuples and mark tuples already built in this
+    enumeration, each keyed by its value, so equal ones of different graphs
+    are one object.  The keys cannot collide: an edge is keyed by four
+    fields, a mark tuple is two integers and a vertex tuple holds fixed
+    points only.
+    """
+    label, marked, children, symmetry = encoding
+    vertices = [label]
+    edges: list[Edge] = []
+    second = 0 if marked else -1
+    for curve_name, degree, child in children:
+        offset = len(vertices)
+        laid = layouts.get((id(child), offset))
+        if laid is None:
+            laid = layouts[id(child), offset] = _lay_out(child, offset, curves, shared)
+        labels, below, mark = laid
+        # The edge from the root, shared as ``_lay_out`` shares the others.
+        key = (0, offset, curve_name, degree)
+        edge = shared.get(key)
+        if edge is None:
+            edge = shared[key] = Edge(0, offset, curves[curve_name], degree)
+        edges.append(edge)
+        edges += below
+        vertices += labels
+        if mark >= 0:
+            second = mark
     if second < 0:
         raise ValueError("encoding carries no second mark")
     labels = tuple(vertices)
@@ -254,7 +300,7 @@ def _materialize(
     graph = StableGraph(
         shared.setdefault(labels, labels), tuple(edges), shared.setdefault(marks, marks)
     )
-    object.__setattr__(graph, "symmetry", encoding[3])
+    object.__setattr__(graph, "symmetry", symmetry)
     return graph
 
 
@@ -267,21 +313,26 @@ def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
 
     The cyclic collector is paused while the graphs are built and validated,
     and left as it was found: the layout makes no reference cycle, so a
-    collection over the growing heap would only cost time.
+    collection over the growing heap would only cost time.  The subtree
+    memos ``_subtrees`` and ``_items`` are emptied on the way out, so each
+    call builds and frees its own.
     """
     positive_degree(d)
     curves = {curve.name: curve for curve in family.curves}
     shared: dict[tuple, object] = {}
+    layouts: dict[tuple[int, int], tuple] = {}
     collecting = gc.isenabled()
     gc.disable()
     try:
         graphs = tuple(
-            _materialize(encoding, curves, shared)
+            _materialize(encoding, curves, shared, layouts)
             for encoding in _rooted_trees(family, family.mark_labels[0], d, True)
         )
         for graph in graphs:
             validate_graph(family, graph)
     finally:
+        _subtrees.cache_clear()
+        _items.cache_clear()
         if collecting:
             gc.enable()
     return graphs
@@ -331,37 +382,50 @@ def automorphism_order(graph: StableGraph) -> int:
 def validate_graph(family: Family, graph: StableGraph) -> None:
     """Raise ``ValueError`` unless the graph is a valid member of the family.
 
-    Every check is one pass over the vertices or the edges.
+    One loop over the edges checks each edge and marks its ends as reached
+    from vertex 0 when one end already is; the edges it could not place are
+    swept again until none is left or a sweep reaches nothing.  An edge list
+    in preorder, as ``enumerate_graphs`` lays it out, is placed in the loop.
     """
     labels = graph.vertices
     n = len(labels)
     if len(graph.edges) != n - 1:
         raise ValueError("graph is not a tree: wrong edge count")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    curves = family.curves
+    reached = [False] * n
+    reached[0] = True
+    pending = []
     for edge in graph.edges:
-        if not (0 <= edge.head < n and 0 <= edge.tail < n):
-            raise ValueError(f"edge ({edge.head}, {edge.tail}) leaves the {n} vertices")
-        adjacency[edge.head].append(edge.tail)
-        adjacency[edge.tail].append(edge.head)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    if not all(seen):
-        raise ValueError("graph is not connected")
-    for edge in graph.edges:
-        curve = edge.curve
-        if curve not in family.curves:
+        head, tail, curve = edge.head, edge.tail, edge.curve
+        if not (0 <= head < n and 0 <= tail < n):
+            raise ValueError(f"edge ({head}, {tail}) leaves the {n} vertices")
+        if curve not in curves:
             raise ValueError(f"edge curve {curve} not in family {family.name}")
         if edge.degree < 1:
             raise ValueError("edge degree must be positive")
-        ends = (labels[edge.head], labels[edge.tail])
+        ends = (labels[head], labels[tail])
         if ends != curve.endpoints and ends[::-1] != curve.endpoints:
             raise ValueError(f"edge endpoints {ends} do not match curve {curve}")
+        if reached[head]:
+            reached[tail] = True
+        elif reached[tail]:
+            reached[head] = True
+        else:
+            pending.append(edge)
+    while pending:
+        left = []
+        for edge in pending:
+            if reached[edge.head]:
+                reached[edge.tail] = True
+            elif reached[edge.tail]:
+                reached[edge.head] = True
+            else:
+                left.append(edge)
+        if len(left) == len(pending):
+            break
+        pending = left
+    if not all(reached):
+        raise ValueError("graph is not connected")
     m1, m2 = graph.marks
     if not (0 <= m1 < n and 0 <= m2 < n):
         raise ValueError(f"marks ({m1}, {m2}) leave the {n} vertices")

@@ -11,6 +11,8 @@ import dataclasses
 import gc
 import heapq
 import itertools
+import random
+import threading
 
 from fractions import Fraction
 
@@ -327,16 +329,21 @@ def test_equal_families_hash_equal_and_share_the_cache():
 
 
 def test_enumerated_graphs_share_edge_records():
-    graphs = enumerate_graphs(pair_family(0, 1), 4)
-    edges = [e for g in graphs for e in g.edges]
-    assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
+    # At d = 6 most root children are read from one call's layout memo.
+    for graphs in (
+        enumerate_graphs(pair_family(0, 1), 4),
+        enumerate_graphs.__wrapped__(pair_family(0, 1), 6),
+    ):
+        edges = [e for g in graphs for e in g.edges]
+        assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
 
 
 def test_enumerated_graphs_share_vertex_and_mark_tuples():
-    graphs = enumerate_graphs.__wrapped__(punctual_family(0, 0, 1), 5)
-    for field in ("vertices", "marks"):
-        values = [getattr(g, field) for g in graphs]
-        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+    for d in (5, 6):
+        graphs = enumerate_graphs.__wrapped__(punctual_family(0, 0, 1), d)
+        for field in ("vertices", "marks"):
+            values = [getattr(g, field) for g in graphs]
+            assert len({id(v) for v in values}) == len(set(values)) < len(values), field
 
 
 def _clear_enumeration_caches():
@@ -344,9 +351,48 @@ def _clear_enumeration_caches():
         cached.cache_clear()
 
 
+def _stack_layout(encoding, curves):
+    """An encoding laid out as a graph on one explicit stack, vertices and
+    edges in depth-first preorder, with fresh edge records."""
+    vertices, edges, second = [], [], -1
+    stack = [(-1, None, encoding)]
+    while stack:
+        parent, item, (label, marked, children, _) = stack.pop()
+        index = len(vertices)
+        vertices.append(label)
+        if marked:
+            second = index
+        if parent >= 0:
+            edges.append(Edge(parent, index, curves[item[0]], item[1]))
+        stack += [(index, child, child[2]) for child in reversed(children)]
+    graph = StableGraph(tuple(vertices), tuple(edges), (0, second))
+    object.__setattr__(graph, "symmetry", encoding[3])
+    return graph
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_layout_matches_one_stack_over_the_whole_encoding(family):
+    # Each root child is laid out once per offset and reused; the oracle lays
+    # every encoding out whole, in the same order the enumeration draws them.
+    curves = {curve.name: curve for curve in family.curves}
+    for d in range(1, 6):
+        graphs = enumerate_graphs.__wrapped__(family, d)
+        try:
+            encodings = list(graphs_module._rooted_trees(family, family.mark_labels[0], d, True))
+        finally:
+            _clear_enumeration_caches()
+        assert len(encodings) == len(graphs)
+        for encoding, graph in zip(encodings, graphs):
+            expected = _stack_layout(encoding, curves)
+            assert (graph.vertices, graph.edges, graph.marks, graph.symmetry) == (
+                expected.vertices, expected.edges, expected.marks, expected.symmetry
+            )
+
+
 def test_enumeration_does_not_depend_on_call_order():
-    # Only subtrees below the top degree are cached, so a degree enumerated
-    # cold, after every lower degree, or uncached must give equal graphs.
+    # Only the graphs are cached across calls: each call builds its own
+    # subtree memo and empties it on return.  So a degree enumerated cold,
+    # after every lower degree, or uncached must give equal graphs.
     cold = {}
     for family in FAMILIES:
         for d in range(1, 6):
@@ -359,13 +405,21 @@ def test_enumeration_does_not_depend_on_call_order():
             assert enumerate_graphs.__wrapped__(family, d) == cold[family, d]
 
 
+def _subtree_memos_are_empty():
+    return all(
+        memo.cache_info().currsize == 0 for memo in (graphs_module._subtrees, graphs_module._items)
+    )
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_enumeration_restores_the_collector_state(monkeypatch, enabled):
+    # One call owns its subtree memo: it is emptied on return, as on a raise.
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         enumerate_graphs.__wrapped__(pair_family(0, 1), 3)
         assert gc.isenabled() is enabled
+        assert _subtree_memos_are_empty()
 
         def refuse(family, graph):
             raise ValueError("refused")
@@ -374,6 +428,7 @@ def test_enumeration_restores_the_collector_state(monkeypatch, enabled):
         with pytest.raises(ValueError, match="refused"):
             enumerate_graphs.__wrapped__(pair_family(0, 1), 3)
         assert gc.isenabled() is enabled
+        assert _subtree_memos_are_empty()
     finally:
         (gc.enable if was_enabled else gc.disable)()
 
@@ -408,6 +463,24 @@ def test_symmetry_order_ignores_edge_order_and_orientation(family):
         assert graph_contribution(flipped, point) == graph_contribution(graph, point)
 
 
+@pytest.mark.parametrize(
+    "family", [pair_family(0, 1), punctual_family(0, 0, 1), punctual_family(1, 1, 2)],
+    ids=lambda f: f.name,
+)
+def test_validate_accepts_any_edge_order_and_orientation(family):
+    # A shuffled edge list leaves edges that reach no vertex yet, which only a
+    # later sweep places.
+    rng = random.Random(29)
+    for d in range(1, 5):
+        for graph in enumerate_graphs(family, d):
+            edges = [
+                Edge(e.tail, e.head, e.curve, e.degree) if rng.random() < 0.5 else e
+                for e in graph.edges
+            ]
+            rng.shuffle(edges)
+            validate_graph(family, StableGraph(graph.vertices, tuple(edges), graph.marks))
+
+
 def _one_edge_graph():
     """The degree-2 pair graph with a single doubled edge, and its family."""
     family = pair_family(0, 1)
@@ -435,6 +508,27 @@ def test_validate_rejects_a_disconnected_graph():
     bad = StableGraph(graph.vertices + graph.vertices[:1], (edge, edge), graph.marks)
     with pytest.raises(ValueError, match="not connected"):
         validate_graph(family, bad)
+
+
+def test_validate_stops_when_a_sweep_reaches_nothing():
+    # Vertices 2 and 3 are joined to each other twice and never to vertex 0,
+    # so every sweep after the first loop reaches nothing.
+    family, graph = _one_edge_graph()
+    (edge,) = graph.edges
+    apart = Edge(2, 3, edge.curve, edge.degree)
+    bad = StableGraph(graph.vertices * 2, (edge, apart, apart), graph.marks)
+    raised = []
+
+    def check():
+        with pytest.raises(ValueError, match="not connected") as info:
+            validate_graph(family, bad)
+        raised.append(info.value)
+
+    worker = threading.Thread(target=check, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "validate_graph kept sweeping"
+    assert len(raised) == 1
 
 
 def test_validate_rejects_a_curve_outside_the_family():
