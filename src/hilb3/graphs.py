@@ -13,18 +13,19 @@ isomorphism into rooted-tree isomorphism, and canonical rooted growth
 (children generated as non-increasing key sequences) is exhaustive and
 duplicate-free.
 
-Each graph is laid out and validated in time linear in its size.  Its
+Each graph is validated in time linear in its size, and laid out in that
+time plus the time of the subtrees laid out for the first time.  Its
 symmetry order is computed while its canonical encoding is built: every
 encoding node carries the order of its rooted subtree, so each shared
 subtree's order is computed once, and a graph's order is read off its root
 node in time linear in the root's children.  Within one ``enumerate_graphs``
 call, equal edge records, equal vertex tuples and equal mark tuples of
-different graphs are one shared object each, each child subtree of the
-root is laid out once per vertex offset, and graphs and edges carry no
-per-instance ``__dict__``.  The rooted subtrees below the top degree are
-memoized for one call only: ``enumerate_graphs`` empties that memo when it
-returns, since the graphs themselves are what it caches.  The top-level
-encodings are generated one at a time and dropped once laid out.
+different graphs are one shared object each, one recursive routine lays
+every child subtree, at any depth, out once per vertex offset, and graphs
+and edges carry no per-instance ``__dict__``.  The rooted subtrees below the
+top degree are memoized for one call only: ``enumerate_graphs`` empties that
+memo when it returns, since the graphs themselves are what it caches.  The
+top-level encodings are generated one at a time and dropped once laid out.
 """
 
 from __future__ import annotations
@@ -154,16 +155,19 @@ def _rooted_trees(
 ) -> Iterator[tuple]:
     """Yield all canonical rooted subtrees with the given root label and beta budget.
 
+    Without ``with_mark`` the subtrees are the root's unmarked child
+    multisets.  With it, each subtree carries the second mark exactly once:
+    at the root, over the same multisets, when the root has the second
+    mark's label, or in exactly one branch.
+
     Not memoized: ``enumerate_graphs`` draws the top level from it, one
     encoding at a time, and each is dropped once it is laid out.  Every
     smaller budget is read from ``_subtrees``.
     """
-    mark_label = family.mark_labels[1]
-    if with_mark and label == mark_label:
+    if label == family.mark_labels[1] or not with_mark:
         for children in _child_multisets(family, label, budget, None):
-            yield _node(label, True, children)
+            yield _node(label, with_mark, children)
     if with_mark:
-        # The second mark goes into exactly one branch.
         for curve in _edges_at(family, label):
             child_label = _other_end(curve, label)
             for degree in range(1, budget // curve.beta + 1):
@@ -175,9 +179,6 @@ def _rooted_trees(
                         for children in _child_multisets(family, label, rest, None):
                             merged = tuple(sorted(children + (marked_item,)))
                             yield _node(label, False, merged)
-    else:
-        for children in _child_multisets(family, label, budget, None):
-            yield _node(label, False, children)
 
 
 @lru_cache(maxsize=None)
@@ -218,53 +219,22 @@ def _child_multisets(family: Family, label: FixedPoint, budget: int, bound) -> t
 
 
 def _lay_out(
-    subtree: tuple, offset: int, curves: dict[str, Curve], shared: dict[tuple, object]
+    subtree: tuple,
+    offset: int,
+    curves: dict[str, Curve],
+    shared: dict[tuple, object],
+    layouts: dict[tuple[int, int], tuple],
 ) -> tuple[tuple, tuple, int]:
     """Lay a subtree out from vertex ``offset`` in depth-first preorder.
 
     Returns its labels, the edges inside it and the index of the vertex
-    carrying the second mark, or -1.  The layout runs on an explicit stack,
-    so it leaves no reference cycle behind for the cyclic collector.
-    """
-    labels: list[FixedPoint] = []
-    edges: list[Edge] = []
-    second = -1
-    index = offset
-    # Each entry is a subtree still to lay out, with the vertex it hangs
-    # from and the curve and degree of the edge to it.  Children are pushed
-    # last first, so they are popped, and numbered, in order.
-    stack: list[tuple] = [(-1, "", 0, subtree)]
-    while stack:
-        parent, curve_name, degree, (label, marked, children, _) = stack.pop()
-        labels.append(label)
-        if marked:
-            second = index
-        if parent >= 0:
-            key = (parent, index, curve_name, degree)
-            edge = shared.get(key)
-            if edge is None:
-                edge = shared[key] = Edge(parent, index, curves[curve_name], degree)
-            edges.append(edge)
-        if children:
-            stack += [(index, name, deg, child) for name, deg, child in reversed(children)]
-        index += 1
-    return tuple(labels), tuple(edges), second
-
-
-def _materialize(
-    encoding: tuple,
-    curves: dict[str, Curve],
-    shared: dict[tuple, object],
-    layouts: dict[tuple[int, int], tuple],
-) -> StableGraph:
-    """Lay an encoding out as a graph, vertices in depth-first preorder, and
-    store the root node's symmetry order on it.
-
-    The graph is the root followed by each root child's subtree, laid out
-    from the vertex after the subtrees before it.  ``layouts`` holds those
-    subtree layouts for one enumeration, keyed by ``(id(child), offset)``:
-    the ids are sound keys because every child encoding is held by the
-    ``_subtrees`` memo until the enumeration returns.
+    carrying the second mark, or -1.  Each child is laid out from the vertex
+    after the children before it; ``layouts`` holds those layouts for one
+    enumeration, keyed by ``(id(child), offset)``, so each child is laid out
+    once per offset.  The ids are sound keys because every child, at any
+    depth, is held by the ``_subtrees`` or ``_items`` memo until the
+    enumeration returns.  A top-level encoding is freed once laid out, and
+    it is never a key, since only children are keyed.
 
     ``curves`` maps the family's curve names to curves; ``shared`` holds the
     edge records, vertex tuples and mark tuples already built in this
@@ -273,35 +243,26 @@ def _materialize(
     fields, a mark tuple is two integers and a vertex tuple holds fixed
     points only.
     """
-    label, marked, children, symmetry = encoding
-    vertices = [label]
+    label, marked, children, _ = subtree
+    labels = [label]
     edges: list[Edge] = []
-    second = 0 if marked else -1
+    second = offset if marked else -1
     for curve_name, degree, child in children:
-        offset = len(vertices)
-        laid = layouts.get((id(child), offset))
+        start = offset + len(labels)
+        laid = layouts.get((id(child), start))
         if laid is None:
-            laid = layouts[id(child), offset] = _lay_out(child, offset, curves, shared)
-        labels, below, mark = laid
-        # The edge from the root, shared as ``_lay_out`` shares the others.
-        key = (0, offset, curve_name, degree)
+            laid = layouts[id(child), start] = _lay_out(child, start, curves, shared, layouts)
+        below, inner, mark = laid
+        key = (offset, start, curve_name, degree)
         edge = shared.get(key)
         if edge is None:
-            edge = shared[key] = Edge(0, offset, curves[curve_name], degree)
+            edge = shared[key] = Edge(offset, start, curves[curve_name], degree)
         edges.append(edge)
-        edges += below
-        vertices += labels
+        edges += inner
+        labels += below
         if mark >= 0:
             second = mark
-    if second < 0:
-        raise ValueError("encoding carries no second mark")
-    labels = tuple(vertices)
-    marks = (0, second)
-    graph = StableGraph(
-        shared.setdefault(labels, labels), tuple(edges), shared.setdefault(marks, marks)
-    )
-    object.__setattr__(graph, "symmetry", symmetry)
-    return graph
+    return tuple(labels), tuple(edges), second
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -309,7 +270,9 @@ def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
     """One representative per isomorphism class with total curve degree ``d``.
 
     The first mark always sits at vertex 0 and carries the smaller of the
-    family's two mark labels, which normalizes the mark swap.
+    family's two mark labels, which normalizes the mark swap.  Each encoding
+    is laid out by ``_lay_out`` from vertex 0, with its vertex and mark
+    tuples shared and its root node's symmetry order stored on the graph.
 
     The cyclic collector is paused while the graphs are built and validated,
     and left as it was found: the layout makes no reference cycle, so a
@@ -321,13 +284,21 @@ def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
     curves = {curve.name: curve for curve in family.curves}
     shared: dict[tuple, object] = {}
     layouts: dict[tuple[int, int], tuple] = {}
+    built = []
     collecting = gc.isenabled()
     gc.disable()
     try:
-        graphs = tuple(
-            _materialize(encoding, curves, shared, layouts)
-            for encoding in _rooted_trees(family, family.mark_labels[0], d, True)
-        )
+        for encoding in _rooted_trees(family, family.mark_labels[0], d, True):
+            labels, edges, second = _lay_out(encoding, 0, curves, shared, layouts)
+            marks = (0, second)
+            graph = StableGraph(
+                shared.setdefault(labels, labels), edges, shared.setdefault(marks, marks)
+            )
+            object.__setattr__(graph, "symmetry", encoding[3])
+            built.append(graph)
+        # Built in the pause: made after it, the tuple would start a young
+        # collection over every layout while ``layouts`` still holds them.
+        graphs = tuple(built)
         for graph in graphs:
             validate_graph(family, graph)
     finally:

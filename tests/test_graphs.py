@@ -329,7 +329,8 @@ def test_equal_families_hash_equal_and_share_the_cache():
 
 
 def test_enumerated_graphs_share_edge_records():
-    # At d = 6 most root children are read from one call's layout memo.
+    # At d = 6 most child subtrees, at any depth, are read from one call's
+    # layout memo.
     for graphs in (
         enumerate_graphs(pair_family(0, 1), 4),
         enumerate_graphs.__wrapped__(pair_family(0, 1), 6),
@@ -372,8 +373,9 @@ def _stack_layout(encoding, curves):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_layout_matches_one_stack_over_the_whole_encoding(family):
-    # Each root child is laid out once per offset and reused; the oracle lays
-    # every encoding out whole, in the same order the enumeration draws them.
+    # Each child subtree, at any depth, is laid out once per offset and
+    # reused; the oracle lays every encoding out whole, in the same order the
+    # enumeration draws them.
     curves = {curve.name: curve for curve in family.curves}
     for d in range(1, 6):
         graphs = enumerate_graphs.__wrapped__(family, d)
@@ -431,6 +433,24 @@ def test_enumeration_restores_the_collector_state(monkeypatch, enabled):
         assert _subtree_memos_are_empty()
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_an_encoding_without_the_second_mark_is_refused(monkeypatch):
+    # The layout records no second mark as -1, and validation refuses it;
+    # the subtree memos filled on the way are still emptied.
+    rooted_trees = graphs_module._rooted_trees
+
+    def unmarked(family, label, budget, with_mark):
+        if label != family.mark_labels[0]:
+            return rooted_trees(family, label, budget, with_mark)
+        assert len(list(rooted_trees(family, label, budget, with_mark))) == 1
+        assert not _subtree_memos_are_empty()
+        return iter([graphs_module._node(label, False, ())])
+
+    monkeypatch.setattr(graphs_module, "_rooted_trees", unmarked)
+    with pytest.raises(ValueError, match=r"^marks \(0, -1\) leave the 1 vertices$"):
+        enumerate_graphs.__wrapped__(pair_family(0, 1), 1)
+    assert _subtree_memos_are_empty()
 
 
 def test_enumeration_leaves_no_reference_cycles():
