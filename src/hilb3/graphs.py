@@ -77,9 +77,6 @@ class StableGraph:
     marks: tuple[int, int]
     symmetry: int = field(default=0, init=False, compare=False, repr=False)
 
-    def mark_count(self, vertex: int) -> int:
-        return (self.marks[0] == vertex) + (self.marks[1] == vertex)
-
 
 @dataclass(frozen=True)
 class Family:

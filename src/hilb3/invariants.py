@@ -74,12 +74,6 @@ def _mark_factor(first: FixedPoint, second: FixedPoint, spec: Specialization) ->
     return Fraction(-cubic * quadratic, den**5)
 
 
-def pair_family_term(d: int, i: int, j: int, spec: Specialization) -> Rational:
-    """Weighted graph sum of the residual-pair family between charts i and j."""
-    family = pair_family(i, j)
-    return _mark_factor(*family.mark_labels, spec) * graph_sum(family, d, spec)
-
-
 def punctual_mark_factor(i: int, j: int, k: int, spec: Specialization) -> Rational:
     """Insertion-difference weight for the punctual strata j, k in chart i."""
     return _mark_factor(FixedPoint.punctual(i, j), FixedPoint.punctual(i, k), spec)

@@ -21,11 +21,10 @@ from .geometry import (
     curve_catalog,
     curves_through,
     fixed_points,
-    pair_weights,
     tangent_character,
     tangent_euler,
 )
-from .graphs import Edge, Family, StableGraph, automorphism_order
+from .graphs import Family
 from .scalars import (
     DegenerateSpecializationError,
     Rational,
@@ -34,7 +33,6 @@ from .scalars import (
     Weight,
     _parts,
     _primitive,
-    evaluate_weight,
     invertible,
     positive_degree,
 )
@@ -136,78 +134,6 @@ def edge_euler(curve: Curve, degree: int, point: Specialization) -> Rational:
             invertible(value, f"weight {Weight(Fraction(a, degree), Fraction(b, degree))}", point)
         num, den = (num * value, den * scale) if sign > 0 else (num * scale, den * value)
     return Fraction(num, den)
-
-
-def pochhammer(start: Rational, length: int) -> Rational:
-    """Rising product ``start * (start + 1) * ... * (start + length - 1)``."""
-    out = Fraction(1)
-    for step in range(length):
-        out *= start + step
-    return out
-
-
-def edge_euler_closed(i: int, j: int, degree: int, point: Specialization) -> Rational:
-    """Closed form for the edge Euler factor of the curve joining charts i, j.
-
-    Valid for the curves of residual pairs; provides an independent route to
-    the same factor that :func:`edge_euler` computes term by term.  Where one
-    of ``w_i, z_i, w_j, z_j, w_i - z_i`` vanishes it raises, as
-    :func:`edge_euler` does, rather than return 0 or divide by zero.
-    """
-    wi, zi, wj, zj = (
-        invertible(evaluate_weight(t, point), f"weight {t}", point)
-        for t in pair_weights(i, j)
-    )
-    invertible(wi - zi, "w_i - z_i", point)
-    d = positive_degree(degree)
-    sign = -1 if d % 2 == 0 else 1
-    numerator = sign * math.factorial(d - 1) ** 2 * wi * wj * zi * zj * (wi - zi) ** 2
-    denominator = (wi + zi)
-    denominator *= pochhammer(1 + Fraction(2 * d) * wi / (zi - wi), d - 1)
-    denominator *= pochhammer(1 - d * (wi + zi) / Fraction(wi - zi), d - 1)
-    return numerator / invertible(denominator, "closed-form edge denominator", point)
-
-
-def psi_vertex_integral(weights: Sequence[Rational], total_points: int) -> Rational:
-    """Integrate ``prod_F 1/(omega_F - psi_F)`` over ``total_points``-pointed
-    genus-zero stable curves.
-
-    ``weights`` lists the flag weights omega_F; marked points contribute to
-    ``total_points`` but carry no weight factor.
-    """
-    if total_points < 3:
-        raise ValueError("need at least three special points")
-    if not 1 <= len(weights) <= total_points:
-        raise ValueError("flag count must be between 1 and the point count")
-    if any(value == 0 for value in weights):
-        raise DegenerateSpecializationError("vanishing flag weight")
-    inverses = [Fraction(1) / value for value in weights]
-    return math.prod(inverses) * sum(inverses) ** (total_points - 3)
-
-
-def graph_contribution(graph: StableGraph, point: Specialization) -> Rational:
-    """Exact localization contribution of one stable graph."""
-    value = Fraction(1, automorphism_order(graph))
-    around: list[list[Edge]] = [[] for _ in graph.vertices]
-    for edge in graph.edges:
-        value /= edge_euler(edge.curve, edge.degree, point)
-        around[edge.head].append(edge)
-        around[edge.tail].append(edge)
-    for vertex, label in enumerate(graph.vertices):
-        omegas = []
-        for edge in around[vertex]:
-            tangent = evaluate_weight(edge.curve.tangent_at(label), point)
-            omegas.append(invertible(tangent, "flag weight", point) / edge.degree)
-        valence = len(omegas)
-        special = valence + graph.mark_count(vertex)
-        value *= tangent_euler(label, point) ** (valence - 1)
-        if special >= 3:
-            value *= psi_vertex_integral(omegas, special)
-        elif valence == 2:
-            value /= invertible(omegas[0] + omegas[1], "node smoothing weight", point)
-        elif special == 1:
-            value *= omegas[0]
-    return value
 
 
 @dataclass(slots=True)
@@ -601,9 +527,10 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     each edge share folded into its flag's kid series and node factors, and
     :func:`_dot`, the per-point sums of products.  Beside them there are only
     the unit pairs ``ones`` and one ``Fraction`` per point, placement and
-    degree, the root's value over its ``E``.  :func:`graph_contribution` over
-    :func:`~hilb3.graphs.enumerate_graphs` gives the same value one graph at
-    a time.
+    degree, the root's value over its ``E``.  The test suite's oracle
+    ``graph_contribution`` in ``tests/oracles.py``, summed over
+    :func:`~hilb3.graphs.enumerate_graphs`, gives the same value one graph
+    at a time.
 
     One pass of the recursion serves every family on the same curves at
     each point of its batch, and every degree up to the pass's own.
@@ -635,9 +562,9 @@ def forbidden_weights(d_max: int) -> tuple[Weight, ...]:
     listed once, sorted, as the primitive form that
     :func:`~hilb3.scalars.sample_specializations` reduces every form to.  Two
     sources add no wall: the tangent characters, whose walls are those of the
-    degree-1 edges at the same label, and the factors of
-    :func:`edge_euler_closed`, each ``d`` times a pair curve's shifted edge
-    weight.
+    degree-1 edges at the same label, and the factors of the closed-form
+    edge Euler factor ``edge_euler_closed`` in ``tests/oracles.py``, each
+    ``d`` times a pair curve's shifted edge weight.
     """
     positive_degree(d_max)
     walls = {

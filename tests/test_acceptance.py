@@ -38,21 +38,20 @@ from hilb3.graphs import (
 )
 from hilb3.geometry import pair_curve
 from hilb3.invariants import (
-    pair_family_term,
     two_point_pairing,
     two_point_total,
     verify_identities,
 )
-from hilb3.localization import (
-    edge_euler,
-    edge_euler_closed,
-    forbidden_weights,
-    psi_vertex_integral,
-)
+from hilb3.localization import edge_euler, forbidden_weights
 from hilb3.scalars import Specialization, sample_specializations
 
-from test_graphs import _brute_force_classes
-from test_localization import _psi_vertex_oracle
+from oracles import (
+    _brute_force_classes,
+    _psi_vertex_oracle,
+    edge_euler_closed,
+    pair_family_term,
+    psi_vertex_integral,
+)
 
 EXPECTED_INVARIANTS = {
     1: Fraction(-27),

@@ -6,29 +6,12 @@ change to the engine that moves a value, an ordering or a line of output
 fails here byte for byte.
 """
 
-from pathlib import Path
-
 import pytest
 
 from hilb3 import cli
 from hilb3.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-
-SEED = ["--seed", "7"]
-PAIR_D2 = ["--family", "pair", "--i", "0", "--j", "1", "--d", "2"]
-
-COMMANDS = {
-    "catalog": ["catalog"],
-    "graphs": ["graphs", *PAIR_D2],
-    "graphsum": ["graphsum", *PAIR_D2, *SEED],
-    "verify": ["verify", "--dmax", "4", "--specs", "5", *SEED],
-    "reproduce": ["reproduce", *SEED],
-    "table": ["table", "--dmax", "4", *SEED],
-    "table_markdown": ["table", "--dmax", "4", "--markdown", *SEED],
-    "table_two": ["table", "--dmax", "2", "--kind", "two", *SEED],
-    "invariant": ["invariant", "--d", "6", "--points", "2", *SEED],
-}
+from oracles import COMMANDS, GOLDEN
 
 
 @pytest.mark.parametrize("json_flag", ["", "--json"])

@@ -1,16 +1,15 @@
 """Stable-graph enumeration against an exhaustive labeled-tree oracle.
 
-The oracle decodes every Pruefer sequence, decorates the resulting labeled
-trees in all possible ways, and groups them into isomorphism classes by
-trying every vertex permutation.  It is written independently of the
-enumerator under test and is feasible for small degrees, which is exactly
-where the enumerator's recursion could plausibly go wrong.
+The oracle, ``_brute_force_classes`` in ``oracles.py``, decodes every
+Pruefer sequence, decorates the resulting labeled trees in all possible
+ways, and groups them into isomorphism classes by trying every vertex
+permutation.  It is written independently of the enumerator under test and
+is feasible for small degrees, which is exactly where the enumerator's
+recursion could plausibly go wrong.
 """
 
 import dataclasses
 import gc
-import heapq
-import itertools
 import random
 import threading
 
@@ -34,124 +33,12 @@ from hilb3.graphs import (
     punctual_family,
     validate_graph,
 )
-from hilb3.localization import graph_contribution
 from hilb3.scalars import Specialization
 
-FAMILIES = all_pair_families() + tuple(
-    family for chart in CHARTS for family in all_punctual_families(chart)
-)
+from oracles import FAMILIES, _brute_force_classes, graph_contribution
 
 
-def _labeled_trees(n):
-    """Every labeled tree on ``n`` vertices, as a sorted tuple of edges."""
-    if n == 1:
-        return [()]
-    if n == 2:
-        return [((0, 1),)]
-    trees = []
-    for seq in itertools.product(range(n), repeat=n - 2):
-        remaining = [1] * n
-        for s in seq:
-            remaining[s] += 1
-        heap = [v for v in range(n) if remaining[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for s in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((min(leaf, s), max(leaf, s)))
-            remaining[leaf] -= 1
-            remaining[s] -= 1
-            if remaining[s] == 1:
-                heapq.heappush(heap, s)
-        u = heapq.heappop(heap)
-        v = heapq.heappop(heap)
-        edges.append((min(u, v), max(u, v)))
-        trees.append(tuple(sorted(edges)))
-    return trees
-
-
-def _degree_tuples(betas, total):
-    """All positive degree assignments with sum of beta*degree equal to total."""
-    if not betas:
-        return [()] if total == 0 else []
-    head, rest = betas[0], betas[1:]
-    results = []
-    top = (total - len(rest)) // head if head else 0
-    for degree in range(1, top + 1):
-        for tail in _degree_tuples(rest, total - head * degree):
-            results.append((degree,) + tail)
-    return results
-
-
-def _canonical_and_aut(labels, decorated, marks):
-    """Minimal relabeling of a decorated marked tree and its symmetry count."""
-    n = len(labels)
-    forms = []
-    for perm in itertools.permutations(range(n)):
-        new_labels = [None] * n
-        for v in range(n):
-            new_labels[perm[v]] = labels[v]
-        new_edges = tuple(
-            sorted(
-                ((min(perm[u], perm[v]), max(perm[u], perm[v])), name, degree)
-                for (u, v), name, degree in decorated
-            )
-        )
-        forms.append((tuple(new_labels), new_edges, (perm[marks[0]], perm[marks[1]])))
-    canon = min(forms)
-    return canon, forms.count(canon)
-
-
-def _brute_force_classes(family, total):
-    """Isomorphism classes of decorated marked trees, with automorphism data.
-
-    Returns a dict mapping each canonical form to the order of the full
-    symmetry group: tree automorphisms times the product of edge degrees.
-    """
-    curves = family.curves
-    points = sorted({p for c in curves for p in c.endpoints})
-    mark_one, mark_two = family.mark_labels
-    min_beta = min(c.beta for c in curves)
-    classes = {}
-    for n in range(2, total // min_beta + 2):
-        for tree in _labeled_trees(n):
-            for labeling in itertools.product(points, repeat=n):
-                options = []
-                for u, v in tree:
-                    fits = [
-                        c
-                        for c in curves
-                        if {labeling[u], labeling[v]} == set(c.endpoints)
-                    ]
-                    if not fits:
-                        break
-                    options.append(fits)
-                if len(options) < len(tree):
-                    continue
-                for chosen in itertools.product(*options):
-                    betas = [c.beta for c in chosen]
-                    for degrees in _degree_tuples(betas, total):
-                        decorated = [
-                            (edge, curve.name, degree)
-                            for edge, curve, degree in zip(tree, chosen, degrees)
-                        ]
-                        for m1 in range(n):
-                            if labeling[m1] != mark_one:
-                                continue
-                            for m2 in range(n):
-                                if labeling[m2] != mark_two:
-                                    continue
-                                canon, aut = _canonical_and_aut(
-                                    list(labeling), decorated, (m1, m2)
-                                )
-                                full = aut
-                                for degree in degrees:
-                                    full *= degree
-                                classes[canon] = full
-    return classes
-
-
-# Class counts confirmed by the oracle below and frozen here so count
+# Class counts confirmed by the oracle and frozen here so count
 # regressions fail loudly even when the oracle comparison is skipped.
 PAIR_COUNTS = {1: 1, 2: 3, 3: 11, 4: 39, 5: 142}
 PUNCTUAL_NEAR_COUNTS = {1: 1, 2: 4, 3: 19, 4: 90}

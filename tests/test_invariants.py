@@ -11,15 +11,16 @@ from hilb3.invariants import (
     ConsistencyError,
     _mark_factor,
     family_term_closed,
-    pair_family_term,
     pair_sum_closed,
     punctual_family_term,
     two_point_pairing,
     two_point_total,
     verify_identities,
 )
-from hilb3.localization import edge_euler_closed, forbidden_weights
+from hilb3.localization import forbidden_weights
 from hilb3.scalars import Specialization, evaluate_weight, sample_specializations
+
+from oracles import edge_euler_closed, pair_family_term
 
 POINT_13 = Specialization(Fraction(1), Fraction(3))
 

@@ -1,33 +1,25 @@
 """Covering characters, Euler factors and vertex integrals.
 
 The psi-class vertex factor has two independent derivations: the closed
-product form used by the engine, and a term-by-term expansion whose
-coefficients are multinomials.  The expansion oracle lives here, written
-against the classical integral values directly, and the engine must agree
-with it on randomized inputs.
+product form that the graph-by-graph oracle ``graph_contribution`` uses, and
+a term-by-term expansion whose coefficients are multinomials.  Both live in
+``oracles.py``, the expansion written against the classical integral values
+directly, and they must agree on randomized inputs.
 """
 
 import hashlib
-import json
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilb3.geometry import curve_catalog, curves_through, fixed_points, pair_curve
-from hilb3.graphs import (
-    all_pair_families,
-    all_punctual_families,
-    enumerate_graphs,
-    pair_family,
-    punctual_family,
-)
+from hilb3.graphs import enumerate_graphs, pair_family, punctual_family
 from hilb3 import localization, scalars
 from hilb3.cli import main
 from hilb3.invariants import two_point_pairing, verify_identities
@@ -37,12 +29,8 @@ from hilb3.localization import (
     _stored_pass,
     edge_character,
     edge_euler,
-    edge_euler_closed,
     forbidden_weights,
-    graph_contribution,
     graph_sum,
-    pochhammer,
-    psi_vertex_integral,
 )
 from hilb3.scalars import (
     DegenerateSpecializationError,
@@ -52,48 +40,18 @@ from hilb3.scalars import (
     sample_specializations,
 )
 
-POINT_13 = Specialization(Fraction(1), Fraction(3))
-
-FAMILIES = all_pair_families() + tuple(
-    family for chart in range(3) for family in all_punctual_families(chart)
+from oracles import (
+    FAMILIES,
+    _enumerated_sum,
+    _psi_vertex_oracle,
+    check_high_degree,
+    edge_euler_closed,
+    graph_contribution,
+    pochhammer,
+    psi_vertex_integral,
 )
 
-
-def _enumerated_sum(family, d, point):
-    """The graph sum one enumerated graph at a time: the oracle for the recursion."""
-    return sum(
-        (graph_contribution(g, point) for g in enumerate_graphs(family, d)), Fraction(0)
-    )
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _psi_vertex_oracle(weights, total_points):
-    """Vertex factor by expanding every psi-class monomial separately.
-
-    A genus-zero moduli space with ``n`` special points integrates the
-    monomial with exponents ``a_F`` to the multinomial coefficient
-    ``(n-3)! / prod(a_F!)``; each flag also carries the geometric series
-    ``1/w_F^(a_F + 1)``.
-    """
-    n = total_points
-    total = Fraction(0)
-    for exponents in _compositions(n - 3, len(weights)):
-        coefficient = factorial(n - 3)
-        for a in exponents:
-            coefficient //= factorial(a)
-        term = Fraction(coefficient)
-        for w, a in zip(weights, exponents):
-            term /= Fraction(w) ** (a + 1)
-        total += term
-    return total
+POINT_13 = Specialization(Fraction(1), Fraction(3))
 
 
 def test_psi_vertex_frozen_case():
@@ -520,31 +478,6 @@ def test_graph_sums_in_degrees_11_and_12_at_two_points_are_pinned():
     ]
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == "964288e9f4bf1362358daa0e2eb5378d4fa87810a3bc7e1f1d31e5a7c45f65ec"
-
-
-# Every family's graph sums in degrees 13..24 at two points, written as p/q
-# by the pass on reduced integer pairs.
-HIGH_DEGREE = Path(__file__).parent / "golden" / "high_degree.json"
-
-
-def check_high_degree(top):
-    """Compare every family's graph sums in degrees 13..``top`` with
-    ``golden/high_degree.json``, naming each family, degree and point that
-    differs.  Top degree first, so one pass per curve system and point
-    serves every degree."""
-    assert 13 <= top <= 24, top
-    recorded = json.loads(HIGH_DEGREE.read_text())
-    points = sample_specializations(2, seed=0, forbidden=forbidden_weights(24))
-    assert [list(point.as_strings()) for point in points] == recorded["points"]
-    assert sorted(recorded["sums"]) == sorted(family.name for family in FAMILIES)
-    wrong = [
-        f"{family.name} degree {d} at w={point.w}, z={point.z}: got {value}, recorded {expected}"
-        for d in range(top, 12, -1)
-        for family in FAMILIES
-        for point, expected in zip(points, recorded["sums"][family.name][str(d)])
-        if (value := graph_sum(family, d, point)) != Fraction(expected)
-    ]
-    assert not wrong, "\n".join(wrong)
 
 
 def test_graph_sums_in_degrees_13_to_16_match_the_reference_file():

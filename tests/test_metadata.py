@@ -92,10 +92,89 @@ def test_the_unused_import_check_sees_reads_and_all():
 
 def test_no_module_imports_a_name_it_never_reads():
     # No linter runs in CI, so this is the check for unused imports.
-    modules = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    modules = [
+        path
+        for folder in ("src", "tests", "checks")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
     unused = {
         str(path.relative_to(ROOT)): names
         for path in modules
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+def _reads(node):
+    """The names a node reads: every name and attribute it loads."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _import_time(body):
+    """The nodes of a module or class body that run when it is imported:
+    every statement but the bodies of its functions, whose decorators and
+    default values do run."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from node.decorator_list
+            yield from node.args.defaults
+            yield from filter(None, node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            yield from node.decorator_list + node.bases + node.keywords
+            yield from _import_time(node.body)
+        else:
+            yield node
+
+
+def _unreached(trees, roots):
+    """The functions and methods defined in ``trees`` that no name read from
+    ``roots``, from import-time statements or from the body of a dunder
+    method, which Python calls itself, reaches through the bodies of the
+    functions it names.  Names are followed across modules and classes."""
+    defs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(node)
+    reached = set(roots) | {name for name in defs if name.startswith("__") and name.endswith("__")}
+    for tree in trees:
+        for node in _import_time(tree.body):
+            reached |= _reads(node)
+    todo = list(reached)
+    while todo:
+        for node in defs.get(todo.pop(), ()):
+            new = _reads(node) - reached
+            reached |= new
+            todo += new
+    return sorted(set(defs) - reached)
+
+
+def test_the_reachability_check_follows_reads_from_every_root():
+    tree = ast.parse(
+        "def main():\n    helper()\n"
+        "def helper():\n    return thing.method\n"
+        "class C:\n"
+        "    size = sized()\n"
+        "    def method(self):\n        pass\n"
+        "    def unused(self):\n        orphan()\n"
+        "    def __len__(self):\n        return counted()\n"
+        "def sized():\n    pass\n"
+        "def counted():\n    pass\n"
+        "def read_by_job():\n    pass\n"
+        "def orphan():\n    pass\n"
+    )
+    assert _unreached([tree], {"main", "read_by_job"}) == ["orphan", "unused"]
+
+
+def test_every_library_function_runs_in_a_command_or_the_benchmark_job():
+    # A function that only tests call is a reference route, and belongs in
+    # tests/oracles.py.  edge_character is exempt: it is an lru_cache that
+    # perfbench's test_every_engine_cache_is_found_and_cleared requires the
+    # benchmark job to find and clear, so it stays until that test drops it.
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))]
+    unreached = _unreached(trees, {"main"} | _reads(ast.parse(JOB.read_text())))
+    assert [name for name in unreached if name != "edge_character"] == []

@@ -24,7 +24,6 @@ from hilb3.invariants import (
 from hilb3.localization import (
     edge_character,
     edge_euler,
-    edge_euler_closed,
     forbidden_weights,
     graph_sum,
 )
@@ -37,6 +36,8 @@ from hilb3.scalars import (
     format_rational,
     sample_specializations,
 )
+
+from oracles import edge_euler_closed
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 weights = st.builds(Weight, fractions, fractions)
