@@ -31,7 +31,6 @@ top-level encodings are generated one at a time and dropped once laid out.
 from __future__ import annotations
 
 import gc
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -306,25 +305,15 @@ def enumerate_graphs(family: Family, d: int) -> tuple[StableGraph, ...]:
     return graphs
 
 
-def _rooted_encoding_and_aut(
+def _rooted_encoding(
     graph: StableGraph, around: list[list[tuple[int, Edge]]], vertex: int, parent: int
-) -> tuple[tuple, int]:
-    children = []
-    aut = 1
-    for child, edge in around[vertex]:
-        if child == parent:
-            continue
-        child_enc, child_aut = _rooted_encoding_and_aut(graph, around, child, vertex)
-        children.append((edge.curve.name, edge.degree, child_enc))
-        aut *= child_aut
-    children.sort()
-    start = 0
-    for pos in range(1, len(children) + 1):
-        if pos == len(children) or children[pos] != children[start]:
-            aut *= math.factorial(pos - start)
-            start = pos
-    encoding = (graph.vertices[vertex], vertex == graph.marks[1], tuple(children))
-    return encoding, aut
+) -> tuple:
+    """The encoding node of the subtree of ``graph`` below ``vertex``, seen from ``parent``."""
+    children = sorted(
+        (edge.curve.name, edge.degree, _rooted_encoding(graph, around, child, vertex))
+        for child, edge in around[vertex] if child != parent
+    )
+    return _node(graph.vertices[vertex], vertex == graph.marks[1], tuple(children))
 
 
 def automorphism_order(graph: StableGraph) -> int:
@@ -332,10 +321,11 @@ def automorphism_order(graph: StableGraph) -> int:
 
     An enumerated graph carries its order in ``symmetry``, computed while
     its encoding was built, and that is returned.  Any other graph is walked:
-    ``Aut`` is computed by rooting at the first mark: every automorphism
-    fixes both marked vertices, so rooted and unrooted automorphisms agree.
-    The neighbour lists are built once, so any edge order and orientation
-    gives the same result in time linear in the graph.
+    rooted at the first mark, its canonical encoding is built through
+    ``_node``, whose order counts the edge degrees, and the root's order is
+    returned.  Every automorphism fixes both marked vertices, so rooted and
+    unrooted automorphisms agree.  The neighbour lists are built once, so
+    any edge order and orientation gives the same result.
     """
     if graph.symmetry:
         return graph.symmetry
@@ -343,8 +333,7 @@ def automorphism_order(graph: StableGraph) -> int:
     for edge in graph.edges:
         around[edge.head].append((edge.tail, edge))
         around[edge.tail].append((edge.head, edge))
-    _, aut = _rooted_encoding_and_aut(graph, around, graph.marks[0], -1)
-    return aut * math.prod(e.degree for e in graph.edges)
+    return _rooted_encoding(graph, around, graph.marks[0], -1)[3]
 
 
 def validate_graph(family: Family, graph: StableGraph) -> None:

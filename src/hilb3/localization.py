@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .graphs import Family
 from .scalars import (
-    DegenerateSpecializationError,
     Rational,
     Specialization,
     VirtualCharacter,
@@ -144,17 +143,19 @@ class _Flag:
     is the number of the flag at the other end of the same edge, ``cost``
     its beta-weighted degree and ``width`` the number of flags at the same
     label, cheapest first, that fit with this one in the pass's degree.
-    These do not depend on the point.  A pass over a batch of points sets
-    the rest, each a tuple with one :data:`Pair` per point: ``weight`` is
-    the flag weight omega, ``edge`` the edge's share ``E/(degree *
-    edge_euler)`` of the graph weight, with the label's tangent Euler factor
-    ``E``, ``series[s]`` the coefficient ``omega^-(s+1) / s!`` of
-    ``(1/omega) e^(t/omega)`` and ``weighted[s]`` the kid series ``edge *
-    series[s]``, both for the t-degrees ``s < top - cost`` that the pass
-    reads, and ``nodes[m]`` the factor ``edge_f / (omega + omega_f)`` for
-    the ``m``-th flag ``f`` at the label, with the share ``edge_f`` of the
-    flag ``f`` that hangs below the node.  :func:`_point_values` builds each
-    of these values once, through :func:`_reduced`, from integer parts.
+    These do not depend on the point.  :func:`_point_values` sets the rest
+    as columns over a batch of points, each a tuple with one :data:`Pair`
+    per point: ``weight`` is the flag weight omega, ``edge`` the edge's
+    share ``E/(degree * edge_euler)`` of the graph weight, with the label's
+    tangent Euler factor ``E``, ``series[s]`` the coefficient
+    ``omega^-(s+1) / s!`` of ``(1/omega) e^(t/omega)`` and ``weighted[s]``
+    the kid series ``edge * series[s]``, both for the t-degrees ``s < top -
+    cost`` that the pass reads, and ``nodes[m]`` the factor ``edge_f /
+    (omega + omega_f)`` for the ``m``-th flag ``f`` at the label, with the
+    share ``edge_f`` of the flag ``f`` that hangs below the node.  Each
+    value is built once, through :func:`_reduced`, from integer parts, at
+    every point of the batch or, where a form it inverts vanishes at one of
+    them, at none.
     """
 
     index: int
@@ -197,42 +198,53 @@ def _layout(curves: tuple[Curve, ...], top: int) -> dict[FixedPoint, list[_Flag]
 
 
 def _point_values(
-    top: int, flags: dict[FixedPoint, list[_Flag]], point: Specialization
-) -> tuple[dict[FixedPoint, Pair], dict[int, list]]:
-    """Every value of a pass that depends on the point: each label's tangent
-    Euler factor ``E``, and each flag's ``[weight, edge, series, weighted,
-    nodes]`` by its number (see :class:`_Flag`).
+    top: int, flags: dict[FixedPoint, list[_Flag]], points: Sequence[Specialization]
+) -> dict[FixedPoint, list[Pair]]:
+    """Set every value of a pass that depends on the point, at each point of
+    its batch: each flag's ``weight``, ``edge``, ``series``, ``weighted``
+    and ``nodes`` (see :class:`_Flag`).  Returns each label's tangent Euler
+    factor ``E`` at each point.
 
     Each value is built once, by :func:`_reduced` from integer parts: the
     flag weight from its tangent's, the edge share from ``E`` and the edge's
     :func:`edge_euler`, and each series, kid series and node entry from
     those pairs' parts and running integer powers.  These invert every form
-    a pass inverts, so a pass at ``point`` raises here or nowhere.
+    a pass inverts, so a pass over the batch raises here, for all of its
+    points, or nowhere.
     """
-    euler, values = {}, {}
+    euler = {}
     for label, here in flags.items():
-        value = tangent_euler(label, point)
-        e_num, e_den = euler[label] = (value.numerator, value.denominator)
+        values = [tangent_euler(label, point) for point in points]
+        euler[label] = [(value.numerator, value.denominator) for value in values]
         for p in here:
-            factor = edge_euler(p.curve, p.degree, point)
-            num, den = _parts(p.curve.tangents[p.end], point)
-            wn, wd = omega = _reduced(invertible(num, "flag weight", point), den * p.degree)
-            edge = _reduced(e_num * factor.denominator, e_den * p.degree * factor.numerator)
-            series, weighted, power_a, power_b, fact = [], [], 1, 1, 1
-            for s in range(top - p.cost):
-                power_a, power_b, fact = power_a * wd, power_b * wn, fact * (s or 1)
-                term = _reduced(power_a, power_b * fact)
-                series.append(term)
-                weighted.append(_reduced(edge[0] * term[0], edge[1] * term[1]))
-            values[p.index] = [omega, edge, series, weighted]
+            weights, edges, rows = [], [], []
+            for point, (e_num, e_den) in zip(points, euler[label]):
+                factor = edge_euler(p.curve, p.degree, point)
+                num, den = _parts(p.curve.tangents[p.end], point)
+                wn, wd = omega = _reduced(invertible(num, "flag weight", point), den * p.degree)
+                edge = _reduced(e_num * factor.denominator, e_den * p.degree * factor.numerator)
+                series, power_a, power_b, fact = [], 1, 1, 1
+                for s in range(top - p.cost):
+                    power_a, power_b, fact = power_a * wd, power_b * wn, fact * (s or 1)
+                    series.append(_reduced(power_a, power_b * fact))
+                weights.append(omega)
+                edges.append(edge)
+                rows.append(series)
+            p.weight, p.edge, p.series = tuple(weights), tuple(edges), list(zip(*rows))
+            p.weighted = [
+                tuple(_reduced(en * a, ed * b) for (en, ed), (a, b) in zip(p.edge, column))
+                for column in p.series
+            ]
         for p in here:
-            (wn, wd), nodes = values[p.index][0], []
+            nodes = []
             for f in here[:p.width]:
-                (fn, fd), (en, ed) = values[f.index][:2]
-                num = invertible(wn * fd + fn * wd, "node smoothing weight", point)
-                nodes.append(_reduced(en * wd * fd, ed * num))
-            values[p.index].append(nodes)
-    return euler, values
+                column = []
+                for point, (wn, wd), (fn, fd), (en, ed) in zip(points, p.weight, f.weight, f.edge):
+                    num = invertible(wn * fd + fn * wd, "node smoothing weight", point)
+                    column.append(_reduced(en * wd * fd, ed * num))
+                nodes.append(tuple(column))
+            p.nodes = tuple(nodes)
+    return euler
 
 
 def _dot(groups: Iterable[tuple[int, Iterable[tuple]]], divisor: int = 1) -> tuple | int:
@@ -292,7 +304,7 @@ def _product_row(terms: list[tuple[int, list, list, int]], length: int, divisor:
 
 def _recursion_pass(
     curves: tuple[Curve, ...], top: int, points: Sequence[Specialization]
-) -> dict[Specialization, dict | DegenerateSpecializationError]:
+) -> dict[Specialization, dict]:
     """The graph sums of a curve system for every mark placement and degree,
     at each point of a batch.
 
@@ -305,30 +317,14 @@ def _recursion_pass(
     are built once, and every value is a tuple with one entry per point.
     See :func:`graph_sum` for the recursion.
 
-    Each point maps to its placements' graph sums, or to the
-    :class:`DegenerateSpecializationError` it raised in
-    :func:`_point_values`; such a point drops out and the others still run.
+    Each point maps to its placements' graph sums.  The pass runs at every
+    point of the batch or at none: where a form it inverts vanishes at any
+    point, :func:`_point_values` raises
+    :class:`~hilb3.scalars.DegenerateSpecializationError` for the batch.
     """
     flags = _layout(curves, top)
-    results: dict = {}
-    live, per_point = [], []
-    for point in points:
-        try:
-            per_point.append(_point_values(top, flags, point))
-        except DegenerateSpecializationError as error:
-            results[point] = error
-        else:
-            live.append(point)
-    if not live:
-        return results
-    for here in flags.values():
-        for f in here:
-            f.weight, f.edge, series, weighted, nodes = zip(
-                *(flag[f.index] for _, flag in per_point)
-            )
-            f.series, f.weighted = list(zip(*series)), list(zip(*weighted))
-            f.nodes = tuple(zip(*nodes))
-    ones = ((1, 1),) * len(live)
+    euler = _point_values(top, flags, points)
+    ones = ((1, 1),) * len(points)
     labels = sorted(flags)
     placements = [(a, b) for n, a in enumerate(labels) for b in labels[n + 1:]]
     marks = [None] + sorted({b for _, b in placements})
@@ -409,16 +405,17 @@ def _recursion_pass(
                         groups.append(_coefficient(1, log[order], parent.series, order - 1))
                     sums[c][parent.index][order] = _dot(groups)
     # One Fraction per point, placement and degree: the root's value over its E.
-    for n, (point, (euler, _)) in enumerate(zip(live, per_point)):
-        results[point] = {
+    return {
+        point: {
             (first, second): tuple(
-                Fraction(v[n][0] * euler[first][1], v[n][1] * euler[first][0])
+                Fraction(v[n][0] * euler[first][n][1], v[n][1] * euler[first][n][0])
                 if v and v[n] else Fraction(0)
                 for v in roots[first, second][1:]
             )
             for first, second in placements
         }
-    return results
+        for n, point in enumerate(points)
+    }
 
 
 @dataclass
@@ -435,30 +432,22 @@ def _stored_pass(curves: tuple[Curve, ...], point: Specialization) -> _Pass:
     return _Pass()
 
 
-def fill_passes(
-    keys: Iterable[tuple[tuple[Curve, ...], Specialization]], top: int
-) -> list[DegenerateSpecializationError]:
+def fill_passes(keys: Iterable[tuple[tuple[Curve, ...], Specialization]], top: int) -> None:
     """Store a degree-``top`` pass for each (curve system, point) of ``keys``
     whose stored pass has a lower degree, one :func:`_recursion_pass` per
     system over all of its points.
 
-    A point at which a form the pass inverts vanishes drops out of its
-    batch and is not stored: its error is returned, and :func:`graph_sum`
-    raises it when the point is read.
+    A pass that raises stores nothing for its batch, and the error
+    propagates; the passes of the systems filled before it stay stored.
     """
     batches: dict[tuple[Curve, ...], dict[Specialization, None]] = {}
     for curves, point in keys:
         if _stored_pass(curves, point).top < top:
             batches.setdefault(curves, {})[point] = None
-    errors = []
     for curves, points in batches.items():
         for point, totals in _recursion_pass(curves, top, list(points)).items():
-            if isinstance(totals, DegenerateSpecializationError):
-                errors.append(totals)
-            else:
-                stored = _stored_pass(curves, point)
-                stored.totals, stored.top = totals, top
-    return errors
+            stored = _stored_pass(curves, point)
+            stored.totals, stored.top = totals, top
 
 
 def in_batches(points: Sequence[Specialization], systems: Callable[[Specialization], Iterable],
@@ -469,9 +458,9 @@ def in_batches(points: Sequence[Specialization], systems: Callable[[Specializati
     The points are taken at most ``_PASS_BATCH_SIZE`` at a time, and each
     slice's passes are filled just before its points are yielded, so a
     caller that reads a point's graph sums when it gets the point needs room
-    in the pass cache for one slice's passes only.  A point whose pass fails
-    is still yielded, and reading it raises.  This is the seam a pool of
-    workers would map.
+    in the pass cache for one slice's passes only.  A pass that fails raises
+    for its whole slice, before any of the slice's points is yielded.  This
+    is the seam a pool of workers would map.
     """
     for start in range(0, len(points), _PASS_BATCH_SIZE):
         batch = points[start:start + _PASS_BATCH_SIZE]
@@ -516,7 +505,8 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     :func:`_point_values` inverts all of them before the order loop, which
     does series arithmetic only; each of them, and every tangent weight,
     goes through :func:`~hilb3.scalars.invertible` and raises
-    :class:`DegenerateSpecializationError` when it vanishes.
+    :class:`~hilb3.scalars.DegenerateSpecializationError` when it vanishes,
+    for the pass's whole batch.
 
     A pass runs over a batch of points.  Its flags, rows and term lists do
     not depend on the point and are built once; each value is a tuple with
@@ -542,12 +532,12 @@ def graph_sum(family: Family, d: int, point: Specialization) -> Rational:
     succeeded at a point is kept and read for every degree up to it.
     Callers of many points read them through :func:`in_batches`, which
     stores their passes one batch of points at a time; on a miss this runs
-    a new pass over one point through :func:`fill_passes`, and raises if
-    that point does not survive it.  A point that raises is not kept.
+    a new pass over one point through :func:`fill_passes`, so at a point
+    on a wall of the pass it raises, and no pass is stored for that point:
+    its record keeps the degree of its highest pass that succeeded, or 0.
     """
     positive_degree(d)
-    if errors := fill_passes([(family.curves, point)], d):
-        raise errors[0]
+    fill_passes([(family.curves, point)], d)
     # Swapping the marks maps the graphs one to one and keeps each weight.
     return _stored_pass(family.curves, point).totals[tuple(sorted(family.mark_labels))][d - 1]
 

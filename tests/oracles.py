@@ -10,8 +10,8 @@ closed form :func:`edge_euler_closed` against
 :func:`psi_vertex_integral`, and the Pruefer-sequence enumeration
 :func:`_brute_force_classes` against the canonical rooted growth of
 ``enumerate_graphs``.  Beside them sit the data several test modules share:
-the 15 families, the golden commands and the reference file of graph sums in
-degrees 13 to 24.
+the 15 families, the golden commands, the reference file of graph sums in
+degrees 13 to 24 and the probe of the recursion on the walls.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from hilb3.graphs import (
     pair_family,
 )
 from hilb3.invariants import _mark_factor
-from hilb3.localization import edge_euler, forbidden_weights, graph_sum
+from hilb3.localization import _recursion_pass, edge_euler, forbidden_weights, graph_sum
 from hilb3.scalars import (
     DegenerateSpecializationError,
     Rational,
@@ -323,3 +323,25 @@ def check_high_degree(top):
         if (value := graph_sum(family, d, point)) != Fraction(expected)
     ]
     assert not wrong, "\n".join(wrong)
+
+
+def wall_passes(top):
+    """Run one degree-``top`` recursion pass per curve system at one point on
+    each wall of ``forbidden_weights(top)``; return how many passes raised
+    and how many ran.
+
+    A pass stops at a point exactly when a form it inverts vanishes there,
+    and a form vanishes at a multiple of a point exactly when it vanishes at
+    the point, so one point per wall probes every form.
+    """
+    systems = {family.curves for family in FAMILIES}
+    assert len(systems) == 9
+    walls = [Specialization(form.b, -form.a) for form in forbidden_weights(top)]
+    stopped = 0
+    for curves in systems:
+        for wall in walls:
+            try:
+                _recursion_pass(curves, top, [wall])
+            except DegenerateSpecializationError:
+                stopped += 1
+    return stopped, len(systems) * len(walls)

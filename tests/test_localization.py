@@ -49,6 +49,7 @@ from oracles import (
     graph_contribution,
     pochhammer,
     psi_vertex_integral,
+    wall_passes,
 )
 
 POINT_13 = Specialization(Fraction(1), Fraction(3))
@@ -526,7 +527,7 @@ def test_point_values_fold_each_edge_share_into_its_kid_series_and_node_factors(
     top, point = 3, Specialization(Fraction(-6, 35), Fraction(10, 21))
     curves = punctual_family(0, 0, 1).curves
     flags = localization._layout(curves, top)
-    _, values = localization._point_values(top, flags, point)
+    localization._point_values(top, flags, [point])
     numbered = {f.index: f for here in flags.values() for f in here}
     assert sorted(numbered) == list(range(len(numbered)))
     for label, here in flags.items():
@@ -541,17 +542,23 @@ def test_point_values_fold_each_edge_share_into_its_kid_series_and_node_factors(
         assert den > 0 and gcd(num, den) == 1, pair
         return Fraction(num, den)
 
+    def only(column):
+        # A column of a one-point batch holds that point's value alone.
+        assert len(column) == 1, column
+        return column[0]
+
     for here in flags.values():
         for f in here:
-            weight, edge, series, weighted, nodes = values[f.index]
-            omega, share = exact(weight), exact(edge)
+            omega, share = exact(only(f.weight)), exact(only(f.edge))
+            series, weighted = list(map(only, f.series)), list(map(only, f.weighted))
+            nodes = list(map(only, f.nodes))
             assert len(series) == len(weighted) == top - f.cost
             for s, (term, kid) in enumerate(zip(series, weighted)):
                 assert exact(term) == 1 / (omega ** (s + 1) * factorial(s))
                 assert exact(kid) == share * exact(term)
             assert len(nodes) == f.width
             for node, g in zip(nodes, here):
-                other, below = values[g.index][:2]
+                other, below = only(g.weight), only(g.edge)
                 assert exact(node) == exact(below) / (omega + exact(other))
 
 
@@ -763,19 +770,20 @@ def test_failed_pass_is_not_stored():
     assert _stored_pass(family.curves, wall).top == 2
 
 
-def test_a_wall_point_drops_out_of_its_batch():
+def test_a_wall_point_fails_its_whole_batch():
     # The degree-3 pass on pair(1,0) inverts 6w - z, which vanishes at
-    # (w, z) = (-1, -6); the other points of its batch are still stored.
+    # (w, z) = (-1, -6).  A batch that holds that point raises, and every
+    # point's stored pass keeps the degree it had; each admissible point
+    # then runs on its own, and the wall point alone raises the same error.
     _clear_sums()
     wall = Specialization(Fraction(-1), Fraction(-6))
     first, second = sample_specializations(2, seed=17, forbidden=forbidden_weights(3))
     family = pair_family(1, 0)
-    errors = localization.fill_passes(
-        [(family.curves, point) for point in (first, wall, second)], 3
-    )
-    assert len(errors) == 1 and str(errors[0]).endswith("vanishes at w=-1, z=-6"), errors
-    assert [_stored_pass(family.curves, p).top for p in (first, wall, second)] == [3, 0, 3]
-    with pytest.raises(DegenerateSpecializationError, match=re.escape(str(errors[0]))):
+    assert graph_sum(family, 2, first) == _enumerated_sum(family, 2, first)
+    with pytest.raises(DegenerateSpecializationError, match="vanishes at w=-1, z=-6$") as caught:
+        localization.fill_passes([(family.curves, point) for point in (first, wall, second)], 3)
+    assert [_stored_pass(family.curves, p).top for p in (first, wall, second)] == [2, 0, 0]
+    with pytest.raises(DegenerateSpecializationError, match=f"^{re.escape(str(caught.value))}$"):
         graph_sum(family, 3, wall)
     for point in (first, second):
         assert graph_sum(family, 3, point) == _enumerated_sum(family, 3, point)
@@ -865,8 +873,8 @@ def test_the_walk_fills_one_batch_at_a_time_and_stored_pairs_are_skipped(passes)
     assert passes == [(1, bound), (1, bound), (1, 1)]
     # fill_passes skips stored pairs and runs the rest as one pass per system.
     keys = [(family.curves, point) for point in points]
-    assert localization.fill_passes(keys + keys, 1) == []
-    assert localization.fill_passes(keys[:3] + keys[:3], 2) == []
+    localization.fill_passes(keys + keys, 1)
+    localization.fill_passes(keys[:3] + keys[:3], 2)
     assert passes[3:] == [(2, 3)]
 
 
@@ -909,19 +917,8 @@ def test_degenerate_walls_raise_and_never_divide_by_zero():
 
 
 def test_passes_on_the_walls_stop_exactly_where_they_did():
-    # One point on each wall of forbidden_weights(3), all in one batch per
-    # curve system.  A degree-3 pass on a curve system stops at a point
-    # exactly when a form it inverts vanishes there; the count pins that
-    # set, so inverting more or fewer forms fails here.  A form vanishes at
-    # a multiple of a point exactly when it vanishes at the point, so one
-    # point per wall probes every form.
-    systems = {family.curves for family in FAMILIES}
-    assert len(systems) == 9
-    walls = [Specialization(form.b, -form.a) for form in forbidden_weights(3)]
-    stopped = total = 0
-    for curves in systems:
-        results = localization._recursion_pass(curves, 3, walls)
-        assert set(results) == set(walls)
-        total += len(results)
-        stopped += sum(isinstance(r, DegenerateSpecializationError) for r in results.values())
-    assert (stopped, total) == (108, 378)
+    # One pass per curve system at one point on each wall of
+    # forbidden_weights(3).  A degree-3 pass stops at a point exactly when a
+    # form it inverts vanishes there; the count pins that set, so inverting
+    # more or fewer forms fails here.
+    assert wall_passes(3) == (108, 378)
