@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, groupby, permutations
 from typing import Iterable, Sequence
 
 from .scalars import Rational, format_rational, positive_degree
@@ -55,14 +55,10 @@ def monomial(*factors: tuple[int, str]) -> Monomial:
 
 def format_monomial(mono: Monomial) -> str:
     parts = []
-    run_start = 0
-    for pos in range(1, len(mono) + 1):
-        if pos == len(mono) or mono[pos] != mono[run_start]:
-            size, cls = mono[run_start]
-            power = pos - run_start
-            text = f"a_{{-{size}}}({_CLASS_SHORT[cls]})"
-            parts.append(text if power == 1 else f"{text}^{power}")
-            run_start = pos
+    for (size, cls), run in groupby(mono):
+        power = len(list(run))
+        text = f"a_{{-{size}}}({_CLASS_SHORT[cls]})"
+        parts.append(text if power == 1 else f"{text}^{power}")
     return "".join(parts)
 
 
@@ -128,46 +124,40 @@ def vector(mono: Monomial, coeff: Rational = 1) -> FockVector:
 # point class and the fundamental class; the middle degrees are the
 # five-step ladder used by the count tables.
 
-_BASIS_DATA: dict[int, tuple[FockVector, ...]] = {}
-
-
-def _install_bases() -> None:
-    a = monomial
-    _BASIS_DATA[0] = (vector(a((1, POINT), (1, POINT), (1, POINT))),)
-    _BASIS_DATA[2] = (
-        vector(a((2, POINT), (1, POINT))),
-        vector(a((1, LINE), (1, POINT), (1, POINT))),
-    )
-    _BASIS_DATA[4] = (
-        vector(a((1, SURFACE), (1, POINT), (1, POINT))),
-        vector(a((2, LINE), (1, POINT))),
-        vector(a((1, LINE), (1, LINE), (1, POINT))),
-        vector(a((2, POINT), (1, LINE))),
-        vector(a((3, POINT),)),
-    )
-    _BASIS_DATA[6] = (
-        vector(a((2, SURFACE), (1, POINT))),
-        vector(a((2, POINT), (1, SURFACE))),
-        vector(a((1, SURFACE), (1, LINE), (1, POINT))),
-        vector(a((3, LINE),)),
-        vector(a((2, LINE), (1, LINE))),
-        vector(a((1, LINE), (1, LINE), (1, LINE))),
-    )
-    _BASIS_DATA[8] = (
-        vector(a((3, SURFACE),)),
-        vector(a((2, SURFACE), (1, LINE))),
-        vector(a((2, LINE), (1, SURFACE))),
-        vector(a((1, SURFACE), (1, LINE), (1, LINE))),
-        vector(a((1, SURFACE), (1, SURFACE), (1, POINT))),
-    )
-    _BASIS_DATA[10] = (
-        vector(a((2, SURFACE), (1, SURFACE))),
-        vector(a((1, SURFACE), (1, SURFACE), (1, LINE)), Fraction(1, 2)),
-    )
-    _BASIS_DATA[12] = (vector(a((1, SURFACE), (1, SURFACE), (1, SURFACE)), Fraction(1, 6)),)
-
-
-_install_bases()
+_BASIS_DATA: dict[int, tuple[FockVector, ...]] = {
+    0: (vector(monomial((1, POINT), (1, POINT), (1, POINT))),),
+    2: (
+        vector(monomial((2, POINT), (1, POINT))),
+        vector(monomial((1, LINE), (1, POINT), (1, POINT))),
+    ),
+    4: (
+        vector(monomial((1, SURFACE), (1, POINT), (1, POINT))),
+        vector(monomial((2, LINE), (1, POINT))),
+        vector(monomial((1, LINE), (1, LINE), (1, POINT))),
+        vector(monomial((2, POINT), (1, LINE))),
+        vector(monomial((3, POINT),)),
+    ),
+    6: (
+        vector(monomial((2, SURFACE), (1, POINT))),
+        vector(monomial((2, POINT), (1, SURFACE))),
+        vector(monomial((1, SURFACE), (1, LINE), (1, POINT))),
+        vector(monomial((3, LINE),)),
+        vector(monomial((2, LINE), (1, LINE))),
+        vector(monomial((1, LINE), (1, LINE), (1, LINE))),
+    ),
+    8: (
+        vector(monomial((3, SURFACE),)),
+        vector(monomial((2, SURFACE), (1, LINE))),
+        vector(monomial((2, LINE), (1, SURFACE))),
+        vector(monomial((1, SURFACE), (1, LINE), (1, LINE))),
+        vector(monomial((1, SURFACE), (1, SURFACE), (1, POINT))),
+    ),
+    10: (
+        vector(monomial((2, SURFACE), (1, SURFACE))),
+        vector(monomial((1, SURFACE), (1, SURFACE), (1, LINE)), Fraction(1, 2)),
+    ),
+    12: (vector(monomial((1, SURFACE), (1, SURFACE), (1, SURFACE)), Fraction(1, 6)),),
+}
 
 
 def basis(degree: int) -> tuple[FockVector, ...]:
@@ -258,13 +248,10 @@ def dual_basis(degree: int) -> tuple[FockVector, ...]:
     """Vectors in the complementary degree pairing to delta with ``basis(degree)``."""
     complement = basis(12 - degree)
     inverse = invert_matrix(gram_matrix(degree))
-    duals = []
-    for row in inverse:
-        total = FockVector()
-        for coeff, base_vector in zip(row, complement):
-            total = total + coeff * base_vector
-        duals.append(total)
-    return tuple(duals)
+    return tuple(
+        FockVector((m, a * c) for a, v in zip(row, complement) for m, c in v.items())
+        for row in inverse
+    )
 
 
 def one_point(mono: Monomial, d: int) -> Fraction:
@@ -320,11 +307,9 @@ def three_point_table(
         raise ValueError(f"need f values for every degree up to {d}")
     eights = _basis_monomials(8)
     table = {}
-    for i in range(5):
-        for j in range(i, 5):
-            for k in range(j, 5):
-                case = _THREE_POINT_CASES.get((i, j, k))
-                table[eights[i], eights[j], eights[k]] = case(d, f) if case else Fraction(0)
+    for triple in combinations_with_replacement(range(5), 3):
+        case = _THREE_POINT_CASES.get(triple)
+        table[tuple(eights[n] for n in triple)] = case(d, f) if case else Fraction(0)
     return table
 
 
@@ -372,7 +357,7 @@ def incidence_divisor() -> FockVector:
 
 def half_diagonal() -> FockVector:
     """The divisor half of the locus of non-reduced subschemes."""
-    return vector(monomial((2, SURFACE), (1, SURFACE)), Fraction(1, 2))
+    return Fraction(1, 2) * basis(10)[0]
 
 
 def taut_divisor(twist: int) -> FockVector:

@@ -35,8 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .geometry import (CHART_PAIRS, STRATUM_PAIRS, Curve, FixedPoint, curve_catalog,
-                       fixed_points, pair_curve, punctual_curve)
+from .geometry import CHART_PAIRS, STRATUM_PAIRS, Curve, FixedPoint, pair_curve, punctual_curve
 from .scalars import positive_degree
 
 __all__ = [
@@ -405,14 +404,3 @@ def all_pair_families() -> tuple[Family, ...]:
 def all_punctual_families(i: int) -> tuple[Family, ...]:
     """The three mark placements for the punctual triangle of chart ``i``."""
     return tuple(punctual_family(i, j, k) for j, k in STRATUM_PAIRS)
-
-
-def catalog_summary() -> dict:
-    """Counts used by the command-line catalog listing."""
-    curves = curve_catalog()
-    return {
-        "fixed_points": len(fixed_points()),
-        "curves": len(curves),
-        "pair_curves": sum(1 for c in curves if c.kind == "pair"),
-        "punctual_curves": sum(1 for c in curves if c.kind == "punctual"),
-    }

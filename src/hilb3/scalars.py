@@ -241,6 +241,13 @@ def _walls(forbidden: Sequence[Weight]) -> frozenset[tuple[int, int]]:
     )
 
 
+def _ratio(w: Fraction, z: Fraction) -> tuple[int, int]:
+    """The primitive integer pair proportional to ``(z, -w)``: one pair per
+    ratio z/w, and off the axes the one form ``a*w + b*z`` that vanishes at
+    ``(w, z)``."""
+    return _primitive(z.numerator * w.denominator, -w.numerator * z.denominator)
+
+
 def _admissible(w: Fraction, z: Fraction, walls: frozenset[tuple[int, int]]) -> bool:
     """Whether ``(w, z)`` is off both axes, the diagonal and every wall.
 
@@ -250,7 +257,7 @@ def _admissible(w: Fraction, z: Fraction, walls: frozenset[tuple[int, int]]) -> 
     """
     if w == 0 or z == 0 or w == z or (0, 0) in walls:
         return False
-    return _primitive(z.numerator * w.denominator, -w.numerator * z.denominator) not in walls
+    return _ratio(w, z) not in walls
 
 
 def sample_specializations(
@@ -258,15 +265,18 @@ def sample_specializations(
     seed: int = 0,
     forbidden: Sequence[Weight] = (),
 ) -> list[Specialization]:
-    """Draw ``count`` distinct nondegenerate points, deterministically in ``seed``.
+    """Draw ``count`` nondegenerate points with distinct ratios z/w,
+    deterministically in ``seed``.
 
     Numerators and denominators come from the primes up to 100 (signs vary),
     so coordinates stay small and exact arithmetic stays fast.  Points where
-    any forbidden weight vanishes are rejected and redrawn, up to a fixed
-    resample budget.  The forms are reduced to integer pairs once per call, so
-    a draw costs one lookup however many forms there are.  A count that is
-    not an ``int`` raises ``TypeError``: ``1.5`` would draw two points.  So
-    does a ``bool``: ``True`` would draw one.
+    any forbidden weight vanishes, or whose ratio z/w an earlier point has,
+    are rejected and redrawn, up to a fixed resample budget: a degree-zero
+    function takes one value along each ratio, so two points on one ratio
+    would compare a value with itself.  The forms are reduced to integer
+    pairs once per call, so a draw costs one lookup however many forms there
+    are.  A count that is not an ``int`` raises ``TypeError``: ``1.5`` would
+    draw two points.  So does a ``bool``: ``True`` would draw one.
     """
     if not isinstance(count, int) or isinstance(count, bool):
         raise TypeError(f"point count must be an int, got {count!r}")
@@ -275,7 +285,7 @@ def sample_specializations(
     rng = random.Random(seed)
     walls = _walls(forbidden)
     points: list[Specialization] = []
-    seen: set[tuple[Fraction, Fraction]] = set()
+    seen: set[tuple[int, int]] = set()
     attempts = 0
     while len(points) < count:
         attempts += 1
@@ -285,8 +295,9 @@ def sample_specializations(
             )
         w = Fraction(rng.choice(_POOL) * rng.choice((1, -1)), rng.choice(_POOL))
         z = Fraction(rng.choice(_POOL) * rng.choice((1, -1)), rng.choice(_POOL))
-        if (w, z) in seen or not _admissible(w, z, walls):
+        ratio = _ratio(w, z)
+        if ratio in seen or not _admissible(w, z, walls):
             continue
-        seen.add((w, z))
+        seen.add(ratio)
         points.append(Specialization(w, z))
     return points

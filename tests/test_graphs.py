@@ -10,6 +10,7 @@ recursion could plausibly go wrong.
 
 import dataclasses
 import gc
+import json
 import random
 import threading
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilb3 import graphs as graphs_module
+from hilb3.cli import main
 from hilb3.geometry import CHART_PAIRS, CHARTS, STRATUM_PAIRS, curve_catalog, pair_curve
 from hilb3.graphs import (
     Edge,
@@ -27,7 +29,6 @@ from hilb3.graphs import (
     all_pair_families,
     all_punctual_families,
     automorphism_order,
-    catalog_summary,
     enumerate_graphs,
     pair_family,
     punctual_family,
@@ -45,8 +46,10 @@ PUNCTUAL_NEAR_COUNTS = {1: 1, 2: 4, 3: 19, 4: 90}
 PUNCTUAL_FAR_COUNTS = {1: 0, 2: 1, 3: 7, 4: 35}
 
 
-def test_catalog_summary():
-    assert catalog_summary() == {
+def test_catalog_summary(capsys):
+    # The counts ``hilb3 catalog`` prints, read from its JSON summary.
+    assert main(["catalog", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == {
         "fixed_points": 21,
         "curves": 15,
         "pair_curves": 6,

@@ -138,6 +138,20 @@ def test_sampling_avoids_forbidden_walls():
             assert evaluate_weight(weight, point) != 0
 
 
+def test_drawn_points_have_distinct_ratios():
+    # A degree-zero total takes one value along each ratio z/w, so two points
+    # on one ratio would check its constancy against itself.  Seed 11207 at
+    # degree 6 once drew (17/89, -17/2) and then (1, -89/2), both on -89/2;
+    # twenty-point draws at degree 4 met a repeat at seeds 143, 152, 241, 261.
+    draws = [sample_specializations(2, seed=11207, forbidden=forbidden_weights(6))]
+    draws += [
+        sample_specializations(20, seed=seed, forbidden=forbidden_weights(4))
+        for seed in range(500)
+    ]
+    for points in draws:
+        assert len({point.z / point.w for point in points}) == len(points), points
+
+
 @pytest.mark.parametrize("d, count", [(4, 200), (8, 100)])
 def test_sampler_decides_as_fraction_arithmetic_does(monkeypatch, d, count):
     # Every draw's accept/reject decision, and so every drawn point, must be
